@@ -283,7 +283,7 @@ class LockDescOracle {
   }
 
   const Lock& lock_;
-  typename Lock::DescView prev_;
+  typename Lock::Desc prev_;
   std::vector<std::uint64_t> version_shadow_;
 };
 

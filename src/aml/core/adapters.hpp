@@ -6,13 +6,12 @@
 //                                pattern every timed-try-lock needs);
 //   * TimedAbortableLock       — try_enter_for / try_enter_until built from
 //                                the lock's bounded-abort guarantee;
-//   * ThreadRegistry           — maps std::thread ids to the dense small
-//                                integers the algorithms identify processes
-//                                by;
 //   * StdAbortableMutex        — satisfies the standard Lockable concept
 //                                (lock / try_lock / unlock), so it drops
 //                                into std::lock_guard, std::unique_lock,
-//                                std::scoped_lock.
+//                                std::scoped_lock; each passage leases its
+//                                dense process id from a
+//                                table::ThreadRegistry.
 #pragma once
 
 #include <atomic>
@@ -25,7 +24,9 @@
 #include <thread>
 
 #include "aml/core/abortable_lock.hpp"
+#include "aml/pal/backoff.hpp"
 #include "aml/pal/config.hpp"
+#include "aml/table/thread_registry.hpp"
 
 namespace aml {
 
@@ -192,55 +193,55 @@ class TimedAbortableLock {
   TimerWheel wheel_;
 };
 
-/// Assigns each OS thread a stable dense id on first use. Ids are never
-/// recycled; constructions beyond `capacity` abort (matching the fixed-N
-/// model of the paper).
-class ThreadRegistry {
- public:
-  explicit ThreadRegistry(std::uint32_t capacity) : capacity_(capacity) {}
-
-  std::uint32_t id() {
-    thread_local std::map<const ThreadRegistry*, std::uint32_t> cache;
-    auto it = cache.find(this);
-    if (it != cache.end()) return it->second;
-    const std::uint32_t assigned =
-        counter_.fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(monotonic id allocation counter)
-    AML_ASSERT(assigned < capacity_, "ThreadRegistry capacity exceeded");
-    cache.emplace(this, assigned);
-    return assigned;
-  }
-
-  std::uint32_t capacity() const { return capacity_; }
-
- private:
-  std::uint32_t capacity_;
-  std::atomic<std::uint32_t> counter_{0};
-};
-
 /// Standard-Lockable facade: usable with std::lock_guard / std::unique_lock
-/// / std::scoped_lock. try_lock() runs an acquisition attempt with a
-/// pre-raised signal: by bounded abort it returns in a bounded number of
-/// steps, acquiring only if the lock is handed over essentially immediately.
+/// / std::scoped_lock. Each passage leases a dense id from a
+/// table::ThreadRegistry for its duration and returns it in unlock(), so
+/// any number of threads may use the mutex over time; at most
+/// `max_threads` are inside lock()/try_lock() at once, and lock() waits for
+/// a free id when all are leased. try_lock() runs an acquisition attempt
+/// with a pre-raised signal: by bounded abort it returns in a bounded number
+/// of steps, acquiring only if the lock is handed over essentially
+/// immediately — and it fails at once when no id is free.
 class StdAbortableMutex {
  public:
   explicit StdAbortableMutex(std::uint32_t max_threads = 64)
-      : registry_(max_threads),
-        lock_(LockConfig{.max_threads = max_threads}) {}
+      : ids_(max_threads), lock_(LockConfig{.max_threads = max_threads}) {}
 
-  void lock() { lock_.enter(registry_.id()); }
-  void unlock() { lock_.exit(registry_.id()); }
-
-  bool try_lock() {
-    AbortSignal signal;
-    signal.raise();
-    return lock_.enter(registry_.id(), signal);
+  void lock() {
+    pal::Backoff backoff;
+    std::uint32_t id;
+    while ((id = ids_.try_lease()) == table::ThreadRegistry::kNoId) {
+      backoff.pause();
+    }
+    lock_.enter(id);
+    holder_ = id;
   }
 
-  ThreadRegistry& registry() { return registry_; }
+  /// The passage's id is recorded in the mutex while it is held, so the
+  /// unlocking thread need not be the locking one.
+  void unlock() {
+    const std::uint32_t id = holder_;
+    lock_.exit(id);
+    ids_.release(id);
+  }
+
+  bool try_lock() {
+    const std::uint32_t id = ids_.try_lease();
+    if (id == table::ThreadRegistry::kNoId) return false;
+    AbortSignal signal;
+    signal.raise();
+    if (!lock_.enter(id, signal)) {
+      ids_.release(id);
+      return false;
+    }
+    holder_ = id;
+    return true;
+  }
 
  private:
-  ThreadRegistry registry_;
+  table::ThreadRegistry ids_;
   AbortableLock lock_;
+  std::uint32_t holder_ = 0;  ///< written and read only under the lock
 };
 
 }  // namespace aml

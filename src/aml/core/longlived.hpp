@@ -30,11 +30,25 @@
 // The Space template parameter selects the recycling scheme:
 // VersionedSpace<M> (the paper's lazy reset; default) or EagerSpace<M> (the
 // O(s(N))-per-reuse ablation).
+//
+// The Journal template parameter is the only difference between the
+// in-process lock and the crash-recoverable shared-memory one. A crash is a
+// forced abort replayed from a journal over the *same* passage (Katzan &
+// Morrison, arXiv 2011.07622), so the algorithm below exists once and the
+// journal supplies what a survivor needs to finish a dead process's
+// passage: where the per-process locals live, how LockDesc is packed and
+// updated, which spin-node pool backs it, and a phase record around each
+// step. NullJournal (here) records nothing and compiles away;
+// ipc::RecoverableJournal is the durable one. Every Cleanup/switch step
+// takes (exec, owner): exec performs the memory operations, owner is whose
+// passage they belong to. In process they are always equal; a recoverer
+// passes its own pid as exec and the dead process's as owner.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "aml/model/ordered.hpp"
@@ -48,6 +62,110 @@
 
 namespace aml::core {
 
+/// Passage phases, in journal order. A durable journal stores each phase
+/// with seq_cst *before* taking the step the phase names, so a recoverer
+/// reading phase P knows every step before P completed and no step after P
+/// started (except the one in flight, which each recovery arm reasons
+/// about). NullJournal drops them.
+enum Phase : std::uint64_t {
+  kIdle = 0,      ///< no passage in progress
+  kSpinWait = 1,  ///< maybe waiting on old_spn's node; LockDesc untouched
+  kPreJoin = 2,   ///< join F&A announced/in flight
+  kJoined = 3,    ///< refcnt incremented; `current` names the instance
+  kDoorway = 4,   ///< inside one-shot enter; attempt word has the slot
+  kHolding = 5,   ///< in the critical section
+  kReleasing = 6, ///< inside one-shot exit; head_snap recorded
+  kCleanup = 7,   ///< release F&A / instance switch announced or in flight
+};
+
+/// The in-process journal: records nothing, so it is an empty class whose
+/// hooks are static no-ops. It selects the in-process representation: heap
+/// per-process locals (kept by the lock), plain F&A/CAS on a 16|32|16
+/// LockDesc, and core::SpinNodePool. Its members are the whole interface a
+/// journal supplies; (exec, owner) parameters are as in the file header.
+class NullJournal {
+  static constexpr std::uint32_t kRefBits = 16;
+  static constexpr std::uint32_t kSpnBits = 32;
+
+ public:
+  static constexpr bool kDurable = false;
+  static constexpr Pid kMaxProcs = (1u << kRefBits) - 2;
+  template <typename M, typename Metrics>
+  using Pool = SpinNodePool<M, Metrics>;
+
+  struct Desc {
+    std::uint32_t lock;
+    std::uint32_t spn;
+    std::uint32_t refcnt;
+  };
+  /// A landed release: its pre-image, and the word it left behind (the
+  /// switch CAS's expected value when it dropped Refcnt to 0).
+  struct Released {
+    Desc pre;
+    std::uint64_t post;
+  };
+
+  NullJournal(auto& /*mem*/, Pid /*nprocs*/) {}
+
+  static std::uint64_t pack(std::uint32_t lock, std::uint32_t spn,
+                            std::uint32_t refcnt) {
+    return (static_cast<std::uint64_t>(lock) << (kRefBits + kSpnBits)) |
+           (static_cast<std::uint64_t>(spn) << kRefBits) | refcnt;
+  }
+  static Desc unpack(std::uint64_t raw) {
+    Desc d;
+    d.refcnt = static_cast<std::uint32_t>(raw & ((1u << kRefBits) - 1));
+    d.spn = static_cast<std::uint32_t>((raw >> kRefBits) &
+                                       ((1ull << kSpnBits) - 1));
+    d.lock = static_cast<std::uint32_t>(raw >> (kRefBits + kSpnBits));
+    return d;
+  }
+  /// LockDesc's initial value: instance 0, a fresh node of pid 0, Refcnt 0.
+  static std::uint64_t initial_desc(auto& pool) {
+    return pack(0, pool.alloc(0), 0);
+  }
+
+  // Passage record: mark() journals a phase; begin()/finish() clear the
+  // attempt record and mark kSpinWait/kIdle; releasing() records the
+  // one-shot's head, then marks kReleasing.
+  static void mark(Pid, Phase) {}
+  static void begin(Pid) {}
+  static void finish(Pid) {}
+  static void releasing(Pid, auto& /*one_shot*/) {}
+
+  // LockDesc updates and spin nodes.
+  static Desc join(auto& mem, Pid exec, Pid, auto& word) {
+    return unpack(mem.faa(exec, word, 1));
+  }
+  static Released release(auto& mem, Pid exec, Pid, auto& word) {
+    const std::uint64_t raw = mem.faa(exec, word, ~std::uint64_t{0});
+    return {unpack(raw), raw - 1};
+  }
+  static void pin(auto& pool, Pid exec, Pid, std::uint32_t idx) {
+    pool.publish_pin(exec, idx);
+  }
+  /// Announce the switch away from `expected`; returns its sequence number.
+  static std::uint64_t announce_switch(Pid, std::uint64_t /*expected*/) {
+    return 0;
+  }
+  static std::uint32_t take_node(auto& pool, Pid exec, Pid) {
+    return pool.alloc(exec);
+  }
+  static void drop_node(auto& pool, Pid exec, Pid, std::uint32_t idx) {
+    pool.unalloc(exec, idx);
+  }
+  static bool install(auto& mem, Pid exec, Pid, auto& word,
+                      std::uint64_t expected, std::uint32_t lock,
+                      std::uint32_t spn, std::uint64_t /*seq*/) {
+    return mem.cas(exec, word, expected, pack(lock, spn, 0));
+  }
+  /// A landed switch's locals are saved.
+  static void switched(Pid) {}
+};
+
+static_assert(std::is_empty_v<NullJournal>,
+              "the in-process journal must compile to nothing");
+
 /// Template parameters:
 ///   M           — memory model;
 ///   SpacePolicy — instance recycling scheme: VersionedSpace (the paper's
@@ -59,14 +177,20 @@ namespace aml::core {
 ///                 Section 8 open problem, offered here for exploration —
 ///                 correct, but with remote spinning on the spin nodes;
 ///   Metrics     — observability sink (see aml/obs/metrics.hpp); the default
-///                 NullMetrics compiles every instrumentation point away.
+///                 NullMetrics compiles every instrumentation point away;
+///   Journal     — NullJournal (default) or a durable journal such as
+///                 ipc::RecoverableJournal (see the file header).
 template <typename M, template <typename> class SpacePolicy = VersionedSpace,
           template <typename, typename> class OneShotT = OneShotLock,
-          typename Metrics = obs::NullMetrics>
+          typename Metrics = obs::NullMetrics,
+          typename Journal = NullJournal>
 class LongLivedLock {
  public:
   using Space = SpacePolicy<M>;
+  using OneShot = OneShotT<Space, Metrics>;
   using MetricsSink = Metrics;
+  using Pool = typename Journal::template Pool<M, Metrics>;
+  using Desc = typename Journal::Desc;
 
   struct Config {
     Pid nprocs = 2;       ///< N: number of participating processes
@@ -78,20 +202,20 @@ class LongLivedLock {
       : mem_(mem),
         config_(config),
         spin_pool_(mem, config.nprocs, config.nprocs + 1),
-        locals_(config.nprocs) {
-    AML_ASSERT(config.nprocs >= 1 && config.nprocs <= kMaxProcs,
+        journal_(mem, config.nprocs),
+        locals_(Journal::kDurable ? 0 : config.nprocs) {
+    AML_ASSERT(config.nprocs >= 1 && config.nprocs <= Journal::kMaxProcs,
                "nprocs out of range for LockDesc packing");
     // N+1 one-shot instances: one installed, one held by each process.
     instances_.reserve(config.nprocs + 1);
     for (Pid i = 0; i <= config.nprocs; ++i) {
       instances_.push_back(std::make_unique<Instance>(mem_, config_));
     }
-    for (Pid p = 0; p < config.nprocs; ++p) {
+    for (Pid p = 0; p < locals_.size(); ++p) {
       locals_[p]->held = p + 1;
       locals_[p]->old_spn = kNoSpn;
     }
-    const std::uint32_t spn0 = spin_pool_.alloc(0);
-    lock_desc_ = mem_.alloc(1, pack(0, spn0, 0));
+    lock_desc_ = mem_.alloc(1, journal_.initial_desc(spin_pool_));
   }
 
   LongLivedLock(const LongLivedLock&) = delete;
@@ -112,9 +236,9 @@ class LongLivedLock {
   /// the spin-node wait, before joining an instance. Bounded abort: returns
   /// within a finite number of the caller's steps once the signal is up.
   EnterResult enter(Pid self, const std::atomic<bool>* abort_signal) {
-    Local& local = *locals_[self];
-    const Packed desc = unpack(mem_.read(self, *lock_desc_));  // line 57
-    if (desc.spn == local.old_spn) {
+    journal_.begin(self);
+    const Desc desc = Journal::unpack(mem_.read(self, *lock_desc_));  // line 57
+    if (desc.spn == old_spn(self)) {
       // The instance we already used is still installed: wait on its spin
       // node until it is switched out (lines 58-61). Safe against node
       // reuse: our pin on this node was published in Cleanup before our
@@ -130,36 +254,44 @@ class LongLivedLock {
           },
           abort_signal);
       if (outcome.stopped) {  // lines 60-61 (refcnt untouched)
+        journal_.mark(self, kIdle);
         obs_.on_abort(self, kNoSlot);
         return {false, kNoSlot};
       }
     }
-    const Packed joined = unpack(mem_.faa(self, *lock_desc_, 1));  // line 62
+    journal_.mark(self, kPreJoin);
+    const Desc joined = join(self, self);  // line 62
     AML_DASSERT(joined.refcnt < config_.nprocs, "Refcnt overflow");
+    set_current(self, joined.lock);
+    journal_.mark(self, kJoined);
     Instance& inst = *instances_[joined.lock];
-    local.current = joined.lock;
     inst.space.begin_session(self);
+    journal_.mark(self, kDoorway);
     const EnterResult result = inst.lock.enter(self, abort_signal);  // line 63
     if (!result.acquired) {
-      cleanup(self);  // lines 64-65
+      end_passage(self);  // lines 64-65
+      return result;
     }
+    journal_.mark(self, kHolding);
     return result;
   }
 
   /// Algorithm 6.2. Caller must hold the lock.
   void exit(Pid self) {
-    const Packed desc = unpack(mem_.read(self, *lock_desc_));  // line 67
-    AML_DASSERT(desc.lock == locals_[self]->current,
+    const Desc desc = Journal::unpack(mem_.read(self, *lock_desc_));  // line 67
+    AML_DASSERT(desc.lock == current(self),
                 "installed instance changed under the CS holder (Claim 24)");
-    instances_[desc.lock]->lock.exit(self);  // line 68
-    cleanup(self);                           // line 69
+    OneShot& one_shot = instances_[desc.lock]->lock;
+    journal_.releasing(self, one_shot);
+    one_shot.exit(self);  // line 68
+    end_passage(self);    // line 69
   }
 
   // --- introspection -----------------------------------------------------
 
-  /// Instance switches so far observed via a raw read (testing aid).
+  /// LockDesc's Refcnt via a raw read (testing aid).
   std::uint64_t peek_refcnt(Pid self) {
-    return unpack(mem_.read(self, *lock_desc_)).refcnt;
+    return Journal::unpack(read_desc(self)).refcnt;
   }
   std::uint32_t instance_count() const {
     return static_cast<std::uint32_t>(instances_.size());
@@ -178,22 +310,14 @@ class LongLivedLock {
   }
   /// Currently installed instance index, via a raw read (testing aid).
   std::uint32_t peek_installed(Pid self) {
-    return unpack(mem_.read(self, *lock_desc_)).lock;
+    return Journal::unpack(read_desc(self)).lock;
   }
   std::size_t spin_nodes() const { return spin_pool_.total_nodes(); }
 
   // --- oracle probes (no gating, no accounting; scheduler-thread safe) --
 
   /// Unpacked LockDesc snapshot for invariant oracles.
-  struct DescView {
-    std::uint32_t lock = 0;
-    std::uint32_t spn = 0;
-    std::uint32_t refcnt = 0;
-  };
-  DescView probe_desc() const {
-    const Packed d = unpack(mem_.peek(*lock_desc_));
-    return {d.lock, d.spn, d.refcnt};
-  }
+  Desc probe_desc() const { return Journal::unpack(mem_.peek(*lock_desc_)); }
   /// Version word of instance `idx`'s space. Only instantiable when the
   /// space policy exposes peek_version() (VersionedSpace).
   std::uint64_t probe_space_version(std::uint32_t idx) const {
@@ -210,43 +334,116 @@ class LongLivedLock {
   /// (oracle fire-tests manufacture illegal states with this).
   void debug_poke_desc(std::uint32_t lock, std::uint32_t spn,
                        std::uint32_t refcnt) {
-    mem_.poke(*lock_desc_, pack(lock, spn, refcnt));
+    mem_.poke(*lock_desc_, Journal::pack(lock, spn, refcnt));
   }
+
+ protected:
+  // A durable journal's recovery front derives from the lock: it re-enters
+  // these steps as a proxy for a dead process, and binds per-instance sinks.
+
+  /// Rebind instance `idx` alone, for sinks that record which instance
+  /// emitted (ipc::RecoverySink); call after set_metrics.
+  void set_instance_metrics(std::uint32_t idx, Metrics* sink) {
+    instances_[idx]->lock.set_metrics(sink);
+  }
+
+  /// Line 62 for `owner`: join the installed instance; returns the
+  /// pre-image.
+  Desc join(Pid exec, Pid owner) {
+    return journal_.join(mem_, exec, owner, *lock_desc_);
+  }
+
+  /// Line 70 for `owner`, with one addition for spin-node reclamation: the
+  /// spin node about to be saved as oldSpn is published in owner's announce
+  /// entry *before* the Refcnt decrement. Claim 24 makes the pre-read of
+  /// LockDesc.Spn stable (owner's increment is still in force), and
+  /// publishing before decrementing guarantees the pin is visible before
+  /// the node can be retired, hence before its owner can scan for reuse.
+  typename Journal::Released release(Pid exec, Pid owner) {
+    const Desc pinned = Journal::unpack(mem_.read(exec, *lock_desc_));
+    journal_.pin(spin_pool_, exec, owner, pinned.spn);
+    const auto released = journal_.release(mem_, exec, owner, *lock_desc_);
+    AML_DASSERT(released.pre.spn == pinned.spn,
+                "LockDesc.Spn changed while our Refcnt hold was in force");
+    return released;
+  }
+
+  /// Algorithm 6.3 for `owner`'s passage.
+  void cleanup(Pid exec, Pid owner) {
+    const auto released = release(exec, owner);
+    set_old_spn(owner, released.pre.spn);
+    if (released.pre.refcnt != 1) return;  // line 71
+    // The last user switches to a fresh instance (lines 72-77).
+    switch_instance(exec, owner, released.post);
+  }
+
+  /// Lines 72-77: announce and attempt the switch away from `expected`, the
+  /// Refcnt-0 word `owner`'s release left.
+  bool switch_instance(Pid exec, Pid owner, std::uint64_t expected) {
+    return install_switch(exec, owner, expected,
+                          journal_.announce_switch(owner, expected));
+  }
+
+  /// The CAS half of a switch already announced under `seq`: owner's held
+  /// instance, advanced to its next incarnation, and a fresh node of
+  /// owner's pool replace `expected`'s.
+  bool install_switch(Pid exec, Pid owner, std::uint64_t expected,
+                      std::uint64_t seq) {
+    const std::uint32_t new_lock = held(owner);
+    instances_[new_lock]->space.next_incarnation(exec);
+    const std::uint32_t new_spn = journal_.take_node(spin_pool_, exec, owner);
+    if (journal_.install(mem_, exec, owner, *lock_desc_, expected, new_lock,
+                         new_spn, seq)) {
+      switches_.fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(monotonic introspection counter)
+      obs_.on_switch(exec);
+      finish_switch(exec, owner, Journal::unpack(expected));
+      return true;
+    }
+    // Another process joined (and will run Cleanup itself) or switched
+    // first; our node was never visible.
+    journal_.drop_node(spin_pool_, exec, owner, new_spn);
+    return false;
+  }
+
+  /// Post-CAS steps of a landed switch: retire the replaced spin node and
+  /// hold the replaced instance for owner's next switch. Idempotent.
+  void finish_switch(Pid exec, Pid owner, const Desc& prev) {
+    auto& go = *spin_pool_.node(prev.spn).go;
+    if constexpr (Journal::kDurable) {
+      // seq_cst: recovery may re-run this; still the release side the spn
+      // waiters acquire.
+      mem_.write(exec, go, 1);  // AML_V_EDGE(longlived.spn_switch), line 77
+    } else {
+      // Release suffices: the waiters in enter (and the owner's reclaim
+      // scan) acquire go == 1, importing the seq_cst install CAS above; no
+      // protocol word is read after this.
+      model::ord::write_rel(mem_, exec, go, 1);  // AML_V_EDGE(longlived.spn_switch), line 77
+    }
+    set_held(owner, prev.lock);
+    journal_.switched(owner);
+  }
+
+  /// Join instance `idx`'s session as `exec`; returns its one-shot lock.
+  OneShot& resume(Pid exec, std::uint32_t idx) {
+    instances_[idx]->space.begin_session(exec);
+    return instances_[idx]->lock;
+  }
+
+  /// The raw LockDesc word, read as `self`.
+  std::uint64_t read_desc(Pid self) { return mem_.read(self, *lock_desc_); }
+  Journal& journal() { return journal_; }
+  const Journal& journal() const { return journal_; }
+  Pool& spin_pool() { return spin_pool_; }
 
  private:
-  static constexpr std::uint32_t kRefBits = 16;
-  static constexpr std::uint32_t kSpnBits = 32;
-  static constexpr std::uint32_t kLockBits = 16;
-  static constexpr Pid kMaxProcs = (1u << kRefBits) - 2;
   static constexpr std::uint32_t kNoSpn = ~std::uint32_t{0};
-
-  struct Packed {
-    std::uint32_t lock;
-    std::uint32_t spn;
-    std::uint32_t refcnt;
-  };
-
-  static std::uint64_t pack(std::uint32_t lock, std::uint32_t spn,
-                            std::uint32_t refcnt) {
-    return (static_cast<std::uint64_t>(lock) << (kRefBits + kSpnBits)) |
-           (static_cast<std::uint64_t>(spn) << kRefBits) | refcnt;
-  }
-  static Packed unpack(std::uint64_t raw) {
-    Packed packed;
-    packed.refcnt = static_cast<std::uint32_t>(raw & ((1u << kRefBits) - 1));
-    packed.spn = static_cast<std::uint32_t>((raw >> kRefBits) &
-                                            ((1ull << kSpnBits) - 1));
-    packed.lock =
-        static_cast<std::uint32_t>(raw >> (kRefBits + kSpnBits));
-    return packed;
-  }
 
   /// One recyclable one-shot lock instance: a word space plus the one-shot
   /// algorithm over it. All mutable state lives in the space's words, so the
   /// same objects serve every incarnation.
   struct Instance {
     Space space;
-    OneShotT<Space, Metrics> lock;
+    OneShot lock;
 
     Instance(M& mem, const Config& config)
         : space(mem, config.nprocs, config.w),
@@ -259,49 +456,46 @@ class LongLivedLock {
     std::uint32_t current = 0;   ///< instance joined by the ongoing attempt
   };
 
-  /// Algorithm 6.3, with one addition for spin-node reclamation: the spin
-  /// node we are about to save as oldSpn is published in the announce array
-  /// *before* the Refcnt decrement. Claim 24 makes the pre-read of
-  /// LockDesc.Spn stable (our increment is still in force), and publishing
-  /// before decrementing guarantees the pin is visible before the node can
-  /// be retired, hence before its owner can scan for reuse.
-  void cleanup(Pid self) {
-    Local& local = *locals_[self];
-    const Packed pinned = unpack(mem_.read(self, *lock_desc_));
-    spin_pool_.publish_pin(self, pinned.spn);
-    const Packed prev =
-        unpack(mem_.faa(self, *lock_desc_, ~std::uint64_t{0}));  // line 70
-    AML_DASSERT(prev.spn == pinned.spn,
-                "LockDesc.Spn changed while our Refcnt hold was in force");
-    local.old_spn = prev.spn;
-    if (prev.refcnt != 1) return;  // line 71
-    // We were the last user: switch to a fresh instance (lines 72-77).
-    const std::uint32_t new_lock = local.held;
-    instances_[new_lock]->space.next_incarnation(self);
-    const std::uint32_t new_spn = spin_pool_.alloc(self);
-    const std::uint64_t expected = pack(prev.lock, prev.spn, 0);
-    const std::uint64_t desired = pack(new_lock, new_spn, 0);
-    if (mem_.cas(self, *lock_desc_, expected, desired)) {
-      switches_.fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(monotonic introspection counter)
-      obs_.on_switch(self);
-      // Retire the replaced spin node. Release suffices: the waiters in
-      // enter (and the owner's reclaim scan) acquire go == 1, importing the
-      // seq_cst install CAS above; no protocol word is read after this.
-      model::ord::write_rel(mem_, self,  // AML_V_EDGE(longlived.spn_switch), line 77
-                            *spin_pool_.node(prev.spn).go, 1);
-      local.held = prev.lock;
-    } else {
-      // Another process joined (and will run Cleanup itself) or switched
-      // first; our node was never visible.
-      spin_pool_.unalloc(self, new_spn);
-    }
+  /// Cleanup and the journal's end-of-passage record (lines 64-65, 69).
+  void end_passage(Pid self) {
+    journal_.mark(self, kCleanup);
+    cleanup(self, self);
+    journal_.finish(self);
+  }
+
+  // Per-process locals: on the heap in process, in the journal's record
+  // (where a survivor can read them) when it is durable.
+  std::uint32_t held(Pid p) const {
+    if constexpr (Journal::kDurable) return journal_.held(p);
+    else return locals_[p]->held;
+  }
+  void set_held(Pid p, std::uint32_t v) {
+    if constexpr (Journal::kDurable) journal_.set_held(p, v);
+    else locals_[p]->held = v;
+  }
+  std::uint32_t old_spn(Pid p) const {
+    if constexpr (Journal::kDurable) return journal_.old_spn(p);
+    else return locals_[p]->old_spn;
+  }
+  void set_old_spn(Pid p, std::uint32_t v) {
+    if constexpr (Journal::kDurable) journal_.set_old_spn(p, v);
+    else locals_[p]->old_spn = v;
+  }
+  std::uint32_t current(Pid p) const {
+    if constexpr (Journal::kDurable) return journal_.current(p);
+    else return locals_[p]->current;
+  }
+  void set_current(Pid p, std::uint32_t v) {
+    if constexpr (Journal::kDurable) journal_.set_current(p, v);
+    else locals_[p]->current = v;
   }
 
   M& mem_;
   Config config_;
-  SpinNodePool<M, Metrics> spin_pool_;
+  Pool spin_pool_;
+  [[no_unique_address]] Journal journal_;
   std::vector<std::unique_ptr<Instance>> instances_;
-  std::vector<pal::CachePadded<Local>> locals_;
+  std::vector<pal::CachePadded<Local>> locals_;  ///< NullJournal only
   typename M::Word* lock_desc_ = nullptr;
   std::atomic<std::uint64_t> switches_{0};
   [[no_unique_address]] obs::SinkHandle<Metrics> obs_;

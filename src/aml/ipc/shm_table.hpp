@@ -1,5 +1,5 @@
 // ShmNamedLockTable: the cross-process named-lock service — the table
-// facade over shm-resident ShmStripeLock stripes, a ProcessRegistry for
+// facade over shm-resident ShmStripe stripes, a ProcessRegistry for
 // robust pid leasing, and the owner-death recovery sweep.
 //
 // Deployment shape: one process calls create(name, cfg), the others call
@@ -53,7 +53,6 @@
 #include "aml/ipc/shm_arena.hpp"
 #include "aml/ipc/shm_lock.hpp"
 #include "aml/ipc/shm_space.hpp"
-#include "aml/obs/metrics.hpp"
 #include "aml/obs/shm_metrics.hpp"
 #include "aml/pal/config.hpp"
 #include "aml/table/hash.hpp"
@@ -61,9 +60,9 @@
 namespace aml::ipc {
 
 struct ShmTableConfig {
-  Pid nprocs = 8;             ///< dense pids shared across all processes
-  std::uint32_t stripes = 8;  ///< must be a power of two; fixed for life
-  std::uint32_t tree_width = 64;
+  Pid nprocs = 8;             ///< dense pids shared by all processes, <= 254
+  std::uint32_t stripes = 8;  ///< a power of two <= 32768; fixed for life
+  std::uint32_t tree_width = 64;  ///< W, in [2, 64]
   core::Find find = core::Find::kAdaptive;
   /// Segment size; 0 derives a generous bound from nprocs/stripes. Shm
   /// objects are sparse (pages commit on first touch), so over-provisioning
@@ -74,6 +73,11 @@ struct ShmTableConfig {
   /// disables event recording (counters and histograms stay on).
   std::uint32_t ring_capacity = 1024;
 };
+
+/// Largest stripe count: stripe ids travel in ShmMetrics' 16-bit event
+/// field, below its kNoStripe sentinel.
+inline constexpr std::uint32_t kMaxShmStripes = 1u << 15;
+static_assert(kMaxShmStripes - 1 < obs::ShmMetrics::kNoStripe);
 
 /// Bump when the construction replay sequence changes shape (new objects,
 /// reordered allocations): it is mixed into the config hash, so a binary
@@ -131,7 +135,7 @@ struct RecoveryStats {
 class ShmNamedLockTable {
  public:
   using Clock = TimerWheel::Clock;
-  using Stripe = ShmStripeLockT<obs::Metrics>;
+  using Stripe = ShmStripe;
 
   /// Create the segment and construct the service in it. Fails (nullptr +
   /// error) if the name exists — unlink() stale segments first.
@@ -275,25 +279,7 @@ class ShmNamedLockTable {
       // recovered and re-leased between the two calls is never claimed.
       if (victim == exec || !registry_.dead(victim)) continue;
       if (!registry_.try_claim_recovery(victim)) continue;
-      bool zombie = false;
-      for (auto& stripe : stripes_) {
-        switch (stripe->recover(exec, victim, self_os)) {
-          case RecoveryAction::kNone:
-            break;
-          case RecoveryAction::kForcedAbort:
-            stats_.forced_aborts++;
-            break;
-          case RecoveryAction::kForcedExit:
-            stats_.forced_exits++;
-            break;
-          case RecoveryAction::kResignalled:
-            stats_.resignals++;
-            break;
-          case RecoveryAction::kZombie:
-            zombie = true;
-            break;
-        }
-      }
+      const bool zombie = recover_stripes(exec, victim, self_os);
       cancel_deadlines(victim);
       registry_.finish_recovery(victim, zombie);
       repaired++;
@@ -371,29 +357,11 @@ class ShmNamedLockTable {
   std::optional<Session> reattach_session(Pid id, std::uint64_t prev_token) {
     if (id >= config_.nprocs) return std::nullopt;
     if (!registry_.try_reattach(id, prev_token)) return std::nullopt;
-    const std::uint64_t self_os = static_cast<std::uint64_t>(::getpid());
-    bool zombie = false;
     // exec == victim is sound here: the old incarnation is dead and this
     // process holds its exclusive kRecovering claim, so this is the normal
     // proxy pattern with the proxy running under the owner's own pid.
-    for (auto& stripe : stripes_) {
-      switch (stripe->recover(id, id, self_os)) {
-        case RecoveryAction::kNone:
-          break;
-        case RecoveryAction::kForcedAbort:
-          stats_.forced_aborts++;
-          break;
-        case RecoveryAction::kForcedExit:
-          stats_.forced_exits++;
-          break;
-        case RecoveryAction::kResignalled:
-          stats_.resignals++;
-          break;
-        case RecoveryAction::kZombie:
-          zombie = true;
-          break;
-      }
-    }
+    const bool zombie =
+        recover_stripes(id, id, static_cast<std::uint64_t>(::getpid()));
     cancel_deadlines(id);
     if (zombie) {
       registry_.finish_recovery(id, true);
@@ -424,11 +392,10 @@ class ShmNamedLockTable {
   Stripe& stripe(std::uint32_t s) { return *stripes_[s]; }
   ProcessRegistry& registry() { return registry_; }
   ShmArena& arena() { return *arena_; }
-  /// Process-local observability: normal *and* recovered passages land here
-  /// (the recoverer's forced aborts/exits flow through the same sink hooks).
-  obs::Metrics& metrics() { return metrics_; }
-  /// Segment-hosted observability: survives every attached process, so a
-  /// victim's last events and the recovery dispatch counters are readable
+  /// Observability: normal *and* recovered passages land here (the
+  /// recoverer's forced aborts/exits flow through the same sink hooks). It
+  /// is segment-hosted, so it survives every attached process: a victim's
+  /// last events and the recovery dispatch counters are readable
   /// post-mortem (tools/aml_stat renders this).
   obs::ShmMetrics& shm_metrics() { return shm_metrics_; }
   const obs::ShmMetrics& shm_metrics() const { return shm_metrics_; }
@@ -575,7 +542,6 @@ class ShmNamedLockTable {
         header_(init_header(*arena_, cfg)),
         space_(*arena_, cfg.nprocs),
         registry_(*arena_, cfg.nprocs),
-        metrics_(cfg.nprocs),
         shm_metrics_(*arena_, cfg.nprocs, cfg.stripes, cfg.ring_capacity),
         signals_(cfg.nprocs),
         armed_(cfg.nprocs),
@@ -583,11 +549,10 @@ class ShmNamedLockTable {
     stripes_.reserve(cfg.stripes);
     for (std::uint32_t s = 0; s < cfg.stripes; ++s) {
       stripes_.push_back(std::make_unique<Stripe>(
-          space_, typename Stripe::Config{.nprocs = cfg.nprocs,
-                                          .w = cfg.tree_width,
-                                          .find = cfg.find}));
-      stripes_.back()->set_metrics(&metrics_);
-      stripes_.back()->set_shm_metrics(&shm_metrics_, s);
+          space_,
+          Stripe::Config{
+              .nprocs = cfg.nprocs, .w = cfg.tree_width, .find = cfg.find},
+          shm_metrics_, s));
     }
   }
 
@@ -615,15 +580,23 @@ class ShmNamedLockTable {
     return hdr;
   }
 
+  /// Reject what the layout cannot represent: pids beyond the 8-bit
+  /// LockDesc stamp, stripe ids beyond the 16-bit event field (whose top
+  /// value is ShmMetrics::kNoStripe), word widths VersionedSpace refuses.
   static bool validate(const ShmTableConfig& cfg, std::string* error) {
-    if (cfg.nprocs < 1 || cfg.stripes < 1 ||
-        (cfg.stripes & (cfg.stripes - 1)) != 0) {
-      if (error != nullptr) {
-        *error = "invalid config: nprocs >= 1 and stripes a power of two";
-      }
-      return false;
+    const char* why = nullptr;
+    if (cfg.nprocs < 1 || cfg.nprocs > RecoverableJournal::kMaxProcs) {
+      why = "nprocs must be in [1, 254]";
+    } else if (cfg.stripes < 1 || (cfg.stripes & (cfg.stripes - 1)) != 0) {
+      why = "stripes must be a power of two";
+    } else if (cfg.stripes > kMaxShmStripes) {
+      why = "stripes must be at most 32768";
+    } else if (cfg.tree_width < 2 || cfg.tree_width > 64) {
+      why = "tree_width must be in [2, 64]";
     }
-    return true;
+    if (why == nullptr) return true;
+    if (error != nullptr) *error = std::string("invalid config: ") + why;
+    return false;
   }
 
   /// Generous closed-form segment bound; see ShmTableConfig::segment_bytes.
@@ -686,6 +659,31 @@ class ShmNamedLockTable {
     return ok;
   }
 
+  /// Run `victim`'s recovery arm on every stripe as `exec`, counting what
+  /// was done; true when the victim died in the doorway-blind window.
+  bool recover_stripes(Pid exec, Pid victim, std::uint64_t exec_os_pid) {
+    bool zombie = false;
+    for (auto& stripe : stripes_) {
+      switch (stripe->recover(exec, victim, exec_os_pid)) {
+        case RecoveryAction::kNone:
+          break;
+        case RecoveryAction::kForcedAbort:
+          stats_.forced_aborts++;
+          break;
+        case RecoveryAction::kForcedExit:
+          stats_.forced_exits++;
+          break;
+        case RecoveryAction::kResignalled:
+          stats_.resignals++;
+          break;
+        case RecoveryAction::kZombie:
+          zombie = true;
+          break;
+      }
+    }
+    return zombie;
+  }
+
   /// Disarm every deadline this process armed for a now-dead pid, and reset
   /// the signal so a stale raise cannot leak into the next leaseholder.
   void cancel_deadlines(Pid victim) {
@@ -704,7 +702,6 @@ class ShmNamedLockTable {
   ServiceHeader* header_;  ///< shm: layout/config discovery for inspectors
   ShmSpace space_;
   ProcessRegistry registry_;
-  obs::Metrics metrics_;  ///< process-local sink all stripes forward to
   obs::ShmMetrics shm_metrics_;  ///< segment-hosted, crash-surviving sink
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::deque<AbortSignal> signals_;  ///< one per dense pid; timed ops only

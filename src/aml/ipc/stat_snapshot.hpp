@@ -137,7 +137,7 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
       if (ph == kIdle) continue;
       if (!first_phase) os << ",";
       first_phase = false;
-      os << "{\"stripe\":" << s << ",\"phase\":\"" << phase_name(ph)
+      os << "{\"stripe\":" << s << ",\"phase\":\"" << phase_label(ph)
          << "\"}";
     }
     os << "]}";

@@ -1,8 +1,8 @@
 // The production-API adapters: RAII guards, TimerWheel deadlines, timed
-// acquisition, thread registry, and the std::mutex-compatible facade.
+// acquisition, and the std::mutex-compatible facade with its per-passage
+// id leases.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -211,24 +211,6 @@ TEST(TimedLockTest, ContendedTimedAttempts) {
   EXPECT_GT(wins.load(), 0u);
 }
 
-TEST(ThreadRegistryTest, StableDenseIds) {
-  ThreadRegistry registry(8);
-  EXPECT_EQ(registry.id(), registry.id());  // stable within a thread
-  std::vector<std::uint32_t> ids(4);
-  pal::run_threads(4, [&](std::uint32_t t) { ids[t] = registry.id(); });
-  std::sort(ids.begin(), ids.end());
-  for (std::size_t i = 1; i < ids.size(); ++i) {
-    EXPECT_NE(ids[i - 1], ids[i]);  // distinct
-    EXPECT_LT(ids[i], 8u);          // dense, within capacity
-  }
-}
-
-TEST(ThreadRegistryTest, IndependentRegistries) {
-  ThreadRegistry a(4), b(4);
-  EXPECT_EQ(a.id(), 0u);
-  EXPECT_EQ(b.id(), 0u);  // separate counters, same thread
-}
-
 TEST(StdAbortableMutexTest, WorksWithStdGuards) {
   StdAbortableMutex mutex(4);
   std::uint64_t counter = 0;
@@ -265,6 +247,48 @@ TEST(StdAbortableMutexTest, UniqueLockAdoptAndRelease) {
   EXPECT_TRUE(ul.owns_lock());
   ul.unlock();
   EXPECT_TRUE(ul.try_lock());
+}
+
+// Ids are leased per passage, not bound to threads for life: more threads
+// than max_threads may use the mutex one after another (each id returns to
+// the registry in unlock), and none of them aborts.
+TEST(StdAbortableMutexTest, MoreSequentialThreadsThanIds) {
+  StdAbortableMutex mutex(4);
+  std::uint64_t counter = 0;
+  for (int t = 0; t < 8; ++t) {
+    std::thread worker([&] {
+      // Fails (rather than hangs below) if an earlier thread kept its id.
+      ASSERT_TRUE(mutex.try_lock());
+      mutex.unlock();
+      for (int i = 0; i < 10; ++i) {
+        std::lock_guard<StdAbortableMutex> guard(mutex);
+        ++counter;
+      }
+    });
+    worker.join();
+  }
+  EXPECT_EQ(counter, 80u);
+}
+
+// With every id leased by a waiter or holder, try_lock fails instead of
+// aborting, and lock() waits for an id rather than failing.
+TEST(StdAbortableMutexTest, ExhaustedIdsMakeTryLockFailAndLockWait) {
+  StdAbortableMutex mutex(1);
+  mutex.lock();  // the only id is leased by this passage
+  std::atomic<bool> acquired{false};
+  std::thread other([&] {
+    EXPECT_FALSE(mutex.try_lock());
+    mutex.lock();
+    acquired.store(true);
+    mutex.unlock();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(acquired.load());
+  mutex.unlock();
+  other.join();
+  EXPECT_TRUE(acquired.load());
+  EXPECT_TRUE(mutex.try_lock());  // the id came back
+  mutex.unlock();
 }
 
 }  // namespace

@@ -246,7 +246,7 @@ TEST(ShmIpcFork, SigkilledHolderRecoveredInOneSweep) {
   EXPECT_TRUE(guard.has_value());
   // The recovered passage flowed through this process's obs sink: the
   // survivor drove the victim's exit plus its own acquisition.
-  EXPECT_GE(table->metrics().totals().acquisitions, 1u);
+  EXPECT_GE(table->shm_metrics().totals().acquisitions, 1u);
   ShmNamedLockTable::unlink(seg);
 }
 

@@ -85,7 +85,7 @@ void print_watch(std::ostream& os, ShmNamedLockTable& table) {
     for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
       const aml::ipc::Phase ph = table.stripe(s).peek_phase(p);
       if (ph == aml::ipc::kIdle) continue;
-      os << "s" << s << ":" << aml::ipc::phase_name(ph) << " ";
+      os << "s" << s << ":" << aml::ipc::phase_label(ph) << " ";
     }
     os << "\n";
   }
