@@ -64,8 +64,8 @@ int main() {
   // What the observability sink saw during the stormy run.
   Table events("obs event ring — the stormy run, in logical-clock order");
   events.headers({"tick", "event", "pid", "slot"});
-  for (const auto& e : metrics.ring().snapshot()) {
-    events.row({Table::num(e.tick), aml::obs::event_kind_name(e.kind),
+  for (const auto& e : metrics.ring_snapshot()) {
+    events.row({Table::num(e.ts), aml::obs::event_kind_name(e.kind),
                 Table::num(std::uint64_t{e.pid}),
                 e.slot == aml::obs::kNoSlot
                     ? "-"
@@ -73,18 +73,18 @@ int main() {
   }
   events.print();
 
-  const aml::obs::Counters totals = metrics.totals();
-  const auto handoff = metrics.handoff().snapshot();
+  const auto totals = metrics.totals();
+  const auto handoff = metrics.handoff();
   std::printf(
       "obs counters: %llu acquisitions, %llu aborts, %llu spin-loop checks,\n"
       "%llu FindNext ascents; hand-off latency (logical ticks): "
-      "p50<=%llu, max<=%llu over %llu hand-offs\n\n",
+      "p50<=%llu, p99<=%llu over %llu hand-offs\n\n",
       static_cast<unsigned long long>(totals.acquisitions),
       static_cast<unsigned long long>(totals.aborts),
       static_cast<unsigned long long>(totals.spin_iterations),
       static_cast<unsigned long long>(totals.findnext_ascents),
       static_cast<unsigned long long>(handoff.p50),
-      static_cast<unsigned long long>(handoff.max),
+      static_cast<unsigned long long>(handoff.p99),
       static_cast<unsigned long long>(handoff.count));
 
   std::printf(

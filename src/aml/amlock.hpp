@@ -13,8 +13,9 @@
 //     RMR-counting CC/DSM simulators implementing the paper's cost model.
 //   * aml::sched::StepScheduler              — deterministic executions.
 //   * aml::baselines::*                      — Table 1 comparison locks.
-//   * aml::obs::Metrics / aml::obs::NullMetrics — observability sinks
-//     (counters, event ring, hand-off histogram); zero-cost when disabled.
+//   * aml::obs::Metrics / aml::obs::NullMetrics — the observability sink
+//     (counters, event ring, hand-off histogram), placed on the heap here
+//     and in the segment by the shm table; zero-cost when disabled.
 //   * aml::table::NamedLockTable             — sharded named-lock service:
 //     keys -> stripes of long-lived abortable locks, RAII thread-id leasing,
 //     deadline-based acquisition, ordered multi-key transactions.
@@ -29,8 +30,6 @@
 #include "aml/model/counting_cc.hpp"
 #include "aml/model/counting_dsm.hpp"
 #include "aml/sched/scheduler.hpp"
-#include "aml/obs/events.hpp"
-#include "aml/obs/histogram.hpp"
 #include "aml/obs/metrics.hpp"
 #include "aml/core/tree.hpp"
 #include "aml/core/oneshot.hpp"

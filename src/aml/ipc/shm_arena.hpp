@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 
 #include <fcntl.h>
@@ -58,6 +59,9 @@ class ShmArena {
  public:
   static constexpr std::uint64_t kMagic = 0x414D'4C53'484D'3031ull;  // AMLSHM01
   static constexpr std::uint32_t kAbiVersion = 1;
+  /// Offset of the data area: the superblock, rounded up to a cache line.
+  static constexpr std::uint64_t kDataBegin =
+      (sizeof(Superblock) + pal::kCacheLine - 1) & ~(pal::kCacheLine - 1);
 
   enum class Role : std::uint8_t { kCreator, kAttacher };
 
@@ -195,6 +199,20 @@ class ShmArena {
     return arena;
   }
 
+  /// A process-private arena over an anonymous mapping with `bytes` of data
+  /// area: zero-filled like a fresh segment, but never named, sealed or
+  /// attached. It lets a structure with a segment layout live on the heap
+  /// through its one allocation sequence. Throws std::bad_alloc when the
+  /// mapping fails, like operator new.
+  static std::unique_ptr<ShmArena> anonymous(std::uint64_t bytes) {
+    bytes += kDataBegin;
+    void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+    return std::unique_ptr<ShmArena>(
+        new ShmArena(std::string(), base, bytes, Role::kCreator));
+  }
+
   ~ShmArena() {
     if (base_ != nullptr) ::munmap(base_, bytes_);
   }
@@ -291,9 +309,7 @@ class ShmArena {
       : name_(std::move(name)), base_(base), bytes_(bytes), role_(role) {
     // Reserve the superblock (both roles, so cursors agree) and start the
     // data area on a fresh cache line.
-    cursor_ = 0;
-    alloc_offset(sizeof(Superblock), alignof(Superblock));
-    cursor_ = (cursor_ + pal::kCacheLine - 1) & ~(pal::kCacheLine - 1);
+    cursor_ = kDataBegin;
   }
 
   static std::uint64_t minimum_bytes() {

@@ -78,7 +78,7 @@
 #include "aml/ipc/shm_arena.hpp"
 #include "aml/ipc/shm_space.hpp"
 #include "aml/model/types.hpp"
-#include "aml/obs/shm_metrics.hpp"
+#include "aml/obs/metrics.hpp"
 #include "aml/pal/cache.hpp"
 #include "aml/pal/config.hpp"
 
@@ -164,7 +164,7 @@ AML_SHM_PLACEABLE(PassageSlot);
 
 /// The per-instance metrics sink: journals doorway slot assignment and grant
 /// acknowledgment into the passage slots (that is the recovery journal), and
-/// forwards every hook to the segment-hosted obs::ShmMetrics — which is how
+/// forwards every hook to the segment-hosted obs::Metrics — which is how
 /// passages, recovered ones included (the recoverer drives the same hooks),
 /// survive the process. Each one-shot instance of a ShmStripe has its own
 /// sink, tagged with the instance index; instance 0's also serves the
@@ -174,7 +174,7 @@ class RecoverySink {
   static constexpr bool kEnabled = true;
 
   RecoverySink(PassageSlot* slots, std::uint32_t instance,
-               obs::ShmMetrics& shm, std::uint32_t stripe)
+               obs::Metrics& shm, std::uint32_t stripe)
       : slots_(slots), instance_(instance), shm_(shm), stripe_(stripe) {}
 
   void on_enter(Pid p, std::uint32_t slot) {
@@ -204,7 +204,7 @@ class RecoverySink {
  private:
   PassageSlot* slots_;
   std::uint32_t instance_;
-  obs::ShmMetrics& shm_;
+  obs::Metrics& shm_;
   std::uint32_t stripe_;
 };
 
@@ -548,12 +548,12 @@ class RecoverableJournal {
 
   /// Bind the segment-hosted sink for the switch and recovery events
   /// (ShmStripe does, before any passage).
-  void bind_shm(obs::ShmMetrics& shm, std::uint32_t stripe) {
+  void bind_shm(obs::Metrics& shm, std::uint32_t stripe) {
     shm_ = &shm;
     stripe_ = stripe;
   }
   /// One typed recovery event, victim pid in the payload.
-  void record_recovery(obs::ShmEventKind kind, Pid exec, Pid victim,
+  void record_recovery(obs::EventKind kind, Pid exec, Pid victim,
                        std::uint32_t slot, std::uint32_t instance) {
     shm_->on_recovery_arm(kind, stripe_, exec, victim, slot, instance);
   }
@@ -622,7 +622,7 @@ class RecoverableJournal {
   bool creating_;
   Pid nprocs_;
   PassageSlot* slots_ = nullptr;    ///< shm, one per pid
-  obs::ShmMetrics* shm_ = nullptr;  ///< segment-hosted sink (crash-surviving)
+  obs::Metrics* shm_ = nullptr;  ///< segment-hosted sink (crash-surviving)
   std::uint32_t stripe_ = 0;
 };
 
@@ -654,10 +654,10 @@ class ShmStripe
   /// Both roles run the identical construction (deterministic replay); only
   /// the creator's word allocations store initial values, and only the
   /// creator touches non-arena shm state (spin-node marks, PassageSlots).
-  /// `shm` is the segment-hosted sink (crash-surviving: see
-  /// obs/shm_metrics.hpp); `stripe_id` tags every event this stripe emits
-  /// into its ring.
-  ShmStripe(ShmSpace& space, Config config, obs::ShmMetrics& shm,
+  /// `shm` is the segment-placed sink (crash-surviving: see
+  /// obs/metrics.hpp); `stripe_id` tags every event this stripe emits into
+  /// its ring.
+  ShmStripe(ShmSpace& space, Config config, obs::Metrics& shm,
             std::uint32_t stripe_id)
       : LongLivedLock(space, config), space_(space) {
     recovery_ = space_.alloc(1, 0);
@@ -824,11 +824,11 @@ class ShmStripe
         if (journal().announced_landed(read_desc(exec), victim,
                                        ann_seq(ann))) {
           return cleaned_up(RecoveryAction::kForcedAbort,
-                            obs::ShmEventKind::kFaCompleted, exec, victim,
+                            obs::EventKind::kFaCompleted, exec, victim,
                             obs::kNoSlot, cur_inst);
         }
         journal().finish(victim);
-        journal().record_recovery(obs::ShmEventKind::kFaCompensated, exec,
+        journal().record_recovery(obs::EventKind::kFaCompensated, exec,
                                   victim, obs::kNoSlot, cur_inst);
         return RecoveryAction::kNone;
       }
@@ -836,7 +836,7 @@ class ShmStripe
         // Refcnt is incremented but no doorway F&A happened: the passage
         // has no queue presence, so the repair is exactly one Cleanup.
         return cleaned_up(RecoveryAction::kForcedAbort,
-                          obs::ShmEventKind::kAbortOnBehalf, exec, victim,
+                          obs::EventKind::kAbortOnBehalf, exec, victim,
                           obs::kNoSlot, cur_inst);
       case kDoorway: {
         if ((att & kAttemptRecorded) == 0) {
@@ -844,7 +844,7 @@ class ShmStripe
           // run (the sink journals immediately after it). This is the one
           // window the journal still cannot attribute; the pid is retired
           // and waits for epoch reclamation.
-          journal().record_recovery(obs::ShmEventKind::kZombieRetire, exec,
+          journal().record_recovery(obs::EventKind::kZombieRetire, exec,
                                     victim, obs::kNoSlot, cur_inst);
           return RecoveryAction::kZombie;
         }
@@ -859,19 +859,19 @@ class ShmStripe
           inst.complete_grant(exec, slot);
           inst.exit(exec);
           return cleaned_up(RecoveryAction::kForcedExit,
-                            obs::ShmEventKind::kCompleteGrant, exec, victim,
+                            obs::EventKind::kCompleteGrant, exec, victim,
                             slot, inst_idx);
         }
         inst.abort_on_behalf(exec, slot);
         return cleaned_up(RecoveryAction::kForcedAbort,
-                          obs::ShmEventKind::kAbortOnBehalf, exec, victim,
+                          obs::EventKind::kAbortOnBehalf, exec, victim,
                           slot, inst_idx);
       }
       case kHolding: {
         const std::uint32_t inst_idx = attempt_instance(att);
         resume(exec, inst_idx).exit(exec);
         return cleaned_up(RecoveryAction::kForcedExit,
-                          obs::ShmEventKind::kForcedExit, exec, victim,
+                          obs::EventKind::kForcedExit, exec, victim,
                           attempt_slot(att), inst_idx);
       }
       case kReleasing: {
@@ -883,7 +883,7 @@ class ShmStripe
           // Died before LastExited was written: redo the whole exit.
           inst.exit(exec);
           return cleaned_up(RecoveryAction::kForcedExit,
-                            obs::ShmEventKind::kForcedExit, exec, victim,
+                            obs::EventKind::kForcedExit, exec, victim,
                             attempt_slot(att), inst_idx);
         }
         // LastExited written; the SignalNext may or may not have run.
@@ -892,7 +892,7 @@ class ShmStripe
         // is absorbed, so re-driving it is safe either way.
         inst.resignal_from(exec, static_cast<std::uint32_t>(head_snap));
         return cleaned_up(RecoveryAction::kResignalled,
-                          obs::ShmEventKind::kResignal, exec, victim,
+                          obs::EventKind::kResignal, exec, victim,
                           attempt_slot(att), inst_idx);
       }
       case kCleanup:
@@ -920,7 +920,7 @@ class ShmStripe
     const std::uint64_t seq = ann_seq(ann);
     const std::uint64_t pre_raw = v.ann_pre.load(std::memory_order_seq_cst);
     const Desc pre = RecoverableJournal::unpack(pre_raw);
-    obs::ShmEventKind kind = obs::ShmEventKind::kFaCompensated;
+    obs::EventKind kind = obs::EventKind::kFaCompensated;
     const auto landed = [&] {
       return journal().announced_landed(read_desc(exec), victim, seq);
     };
@@ -931,12 +931,12 @@ class ShmStripe
         v.old_spn.store(pre.spn, std::memory_order_seq_cst);
         if (landed()) {
           finish_switch(exec, victim, pre);
-          kind = obs::ShmEventKind::kFaCompleted;
+          kind = obs::EventKind::kFaCompleted;
         } else if (read_desc(exec) == pre_raw) {
           // Word untouched since the announcement: redo the same switch
           // under the same sequence number.
           if (install_switch(exec, victim, pre_raw, seq)) {
-            kind = obs::ShmEventKind::kFaCompleted;
+            kind = obs::EventKind::kFaCompleted;
           }
         } else {
           // A joiner moved the word: the switch must be abandoned. Free
@@ -966,7 +966,7 @@ class ShmStripe
                                        static_cast<std::uint32_t>(victim),
                                        seq));
         }
-        kind = obs::ShmEventKind::kFaCompleted;
+        kind = obs::EventKind::kFaCompleted;
         break;
       default:
         // Death right at the kCleanup phase store, before the release was
@@ -983,7 +983,7 @@ class ShmStripe
   /// then its journal reset and exactly one typed event — emitted after
   /// the repair steps so a reader that sees the event also sees the
   /// repaired stripe state.
-  RecoveryAction cleaned_up(RecoveryAction action, obs::ShmEventKind kind,
+  RecoveryAction cleaned_up(RecoveryAction action, obs::EventKind kind,
                             Pid exec, Pid victim, std::uint32_t slot,
                             std::uint32_t instance) {
     journal().mark(victim, kCleanup);

@@ -53,7 +53,7 @@
 #include "aml/ipc/shm_arena.hpp"
 #include "aml/ipc/shm_lock.hpp"
 #include "aml/ipc/shm_space.hpp"
-#include "aml/obs/shm_metrics.hpp"
+#include "aml/obs/metrics.hpp"
 #include "aml/pal/config.hpp"
 #include "aml/table/hash.hpp"
 
@@ -69,15 +69,15 @@ struct ShmTableConfig {
   /// costs address space, not memory; the arena's exhaustion assert is the
   /// backstop if a future layout outgrows the estimate.
   std::uint64_t segment_bytes = 0;
-  /// Capacity of the segment-hosted event ring (obs::ShmMetrics); 0
+  /// Capacity of the segment-hosted event ring (obs::Metrics); 0
   /// disables event recording (counters and histograms stay on).
   std::uint32_t ring_capacity = 1024;
 };
 
-/// Largest stripe count: stripe ids travel in ShmMetrics' 16-bit event
+/// Largest stripe count: stripe ids travel in obs::Metrics' 16-bit event
 /// field, below its kNoStripe sentinel.
 inline constexpr std::uint32_t kMaxShmStripes = 1u << 15;
-static_assert(kMaxShmStripes - 1 < obs::ShmMetrics::kNoStripe);
+static_assert(kMaxShmStripes - 1 < obs::Metrics::kNoStripe);
 
 /// Bump when the construction replay sequence changes shape (new objects,
 /// reordered allocations): it is mixed into the config hash, so a binary
@@ -268,7 +268,7 @@ class ShmNamedLockTable {
   /// the per-stripe seqlock serializes the stripe repairs.
   std::uint32_t recover_dead(Pid exec) {
     stats_.sweeps++;
-    const std::uint64_t sweep_begin = obs::ShmMetrics::now_ns();
+    const std::uint64_t sweep_begin = obs::Metrics::now_ns();
     std::uint32_t recovered = 0;
     std::uint32_t repaired = 0;  // zombies included: work was still done
     const std::uint64_t self_os = static_cast<std::uint64_t>(::getpid());
@@ -336,7 +336,7 @@ class ShmNamedLockTable {
     // actually repaired something are recorded; the all-alive prefilter
     // pass is a different (much cheaper) population.
     if (repaired != 0) {
-      shm_metrics_.record_sweep_ns(obs::ShmMetrics::now_ns() - sweep_begin);
+      shm_metrics_.record_sweep_ns(obs::Metrics::now_ns() - sweep_begin);
     }
     return recovered;
   }
@@ -397,8 +397,8 @@ class ShmNamedLockTable {
   /// is segment-hosted, so it survives every attached process: a victim's
   /// last events and the recovery dispatch counters are readable
   /// post-mortem (tools/aml_stat renders this).
-  obs::ShmMetrics& shm_metrics() { return shm_metrics_; }
-  const obs::ShmMetrics& shm_metrics() const { return shm_metrics_; }
+  obs::Metrics& shm_metrics() { return shm_metrics_; }
+  const obs::Metrics& shm_metrics() const { return shm_metrics_; }
   const RecoveryStats& recovery_stats() const { return stats_; }
   std::size_t pending_deadlines() const { return wheel_.pending(); }
 
@@ -556,11 +556,9 @@ class ShmNamedLockTable {
     }
   }
 
-  /// Offset of the ServiceHeader: the first allocation after the arena
-  /// constructor reserves the superblock and rounds up to a cache line.
+  /// Offset of the ServiceHeader: the replay's first allocation.
   static constexpr std::uint64_t header_offset() {
-    return (sizeof(Superblock) + pal::kCacheLine - 1) &
-           ~static_cast<std::uint64_t>(pal::kCacheLine - 1);
+    return ShmArena::kDataBegin;
   }
 
   static ServiceHeader* init_header(ShmArena& arena,
@@ -582,7 +580,7 @@ class ShmNamedLockTable {
 
   /// Reject what the layout cannot represent: pids beyond the 8-bit
   /// LockDesc stamp, stripe ids beyond the 16-bit event field (whose top
-  /// value is ShmMetrics::kNoStripe), word widths VersionedSpace refuses.
+  /// value is Metrics::kNoStripe), word widths VersionedSpace refuses.
   static bool validate(const ShmTableConfig& cfg, std::string* error) {
     const char* why = nullptr;
     if (cfg.nprocs < 1 || cfg.nprocs > RecoverableJournal::kMaxProcs) {
@@ -611,8 +609,8 @@ class ShmNamedLockTable {
         (n + 1) * inst_words + n * (n + 1) + 4 * n + 16;
     const std::uint64_t words = cfg.stripes * stripe_words + 8 * n + 64;
     return (words * sizeof(ShmSpace::Word)) * 2 +
-           obs::ShmMetrics::footprint_bytes(cfg.nprocs, cfg.stripes,
-                                            cfg.ring_capacity) +
+           obs::Metrics::footprint_bytes(cfg.nprocs, cfg.stripes,
+                                         cfg.ring_capacity) +
            sizeof(ServiceHeader) + (1u << 20);
   }
 
@@ -702,7 +700,7 @@ class ShmNamedLockTable {
   ServiceHeader* header_;  ///< shm: layout/config discovery for inspectors
   ShmSpace space_;
   ProcessRegistry registry_;
-  obs::ShmMetrics shm_metrics_;  ///< segment-hosted, crash-surviving sink
+  obs::Metrics shm_metrics_;  ///< segment-hosted, crash-surviving sink
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::deque<AbortSignal> signals_;  ///< one per dense pid; timed ops only
   TimerWheel wheel_;

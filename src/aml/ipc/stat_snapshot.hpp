@@ -18,7 +18,7 @@
 
 #include "aml/ipc/process_registry.hpp"
 #include "aml/ipc/shm_table.hpp"
-#include "aml/obs/shm_metrics.hpp"
+#include "aml/obs/metrics.hpp"
 
 namespace aml::ipc {
 
@@ -60,14 +60,14 @@ inline const char* lease_state_name(ProcessRegistry::State s) {
 }
 
 inline void write_histogram(std::ostream& os,
-                            const obs::ShmHistogramSnapshot& h) {
+                            const obs::HistogramSnapshot& h) {
   os << "{\"count\":" << h.count << ",\"sum\":" << h.sum
      << ",\"mean\":" << h.mean << ",\"p50\":" << h.p50
      << ",\"p90\":" << h.p90 << ",\"p99\":" << h.p99 << "}";
 }
 
 inline void write_recovery(std::ostream& os,
-                           const obs::ShmRecoverySnapshot& r) {
+                           const obs::RecoverySnapshot& r) {
   os << "{\"forced_exits\":" << r.forced_exits
      << ",\"complete_grants\":" << r.complete_grants
      << ",\"aborts_on_behalf\":" << r.aborts_on_behalf
@@ -79,7 +79,7 @@ inline void write_recovery(std::ostream& os,
 }
 
 inline void write_counters(std::ostream& os,
-                           const obs::ShmMetrics::Totals& t) {
+                           const obs::Metrics::Totals& t) {
   os << "{\"acquisitions\":" << t.acquisitions << ",\"aborts\":" << t.aborts
      << ",\"spin_iterations\":" << t.spin_iterations
      << ",\"findnext_ascents\":" << t.findnext_ascents
@@ -97,8 +97,8 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
   using stat_detail::json_string;
   const Pid probe = 0;
   const ShmTableConfig& cfg = table.config();
-  obs::ShmMetrics& shm = table.shm_metrics();
-  const std::uint64_t now = obs::ShmMetrics::now_ns();
+  obs::Metrics& shm = table.shm_metrics();
+  const std::uint64_t now = obs::Metrics::now_ns();
 
   os << "{";
   os << "\"segment\":";
@@ -175,7 +175,7 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
     os << ",\"per_pid\":[";
     for (Pid p = 0; p < cfg.nprocs; ++p) {
       if (p != 0) os << ",";
-      stat_detail::write_counters(os, shm.pid_counters(p));
+      stat_detail::write_counters(os, shm.of(p));
     }
     os << "]";
   }
@@ -190,21 +190,21 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
 
   // --- ring tail --------------------------------------------------------
   std::uint64_t torn = 0;
-  const std::vector<obs::ShmEvent> events = shm.ring_snapshot(&torn);
+  const std::vector<obs::Event> events = shm.ring_snapshot(&torn);
   os << ",\"ring\":{\"total\":" << shm.ring_total()
      << ",\"dropped\":" << shm.ring_dropped() << ",\"torn\":" << torn
      << ",\"tail\":[";
   const std::size_t tail =
       events.size() > opt.ring_tail ? events.size() - opt.ring_tail : 0;
   for (std::size_t i = tail; i < events.size(); ++i) {
-    const obs::ShmEvent& e = events[i];
+    const obs::Event& e = events[i];
     if (i != tail) os << ",";
     os << "{\"seq\":" << e.seq << ",\"kind\":\""
-       << obs::shm_event_kind_name(e.kind) << "\",\"stripe\":" << e.stripe
+       << obs::event_kind_name(e.kind) << "\",\"stripe\":" << e.stripe
        << ",\"pid\":" << e.pid;
-    if (e.victim != obs::ShmEvent::kNoPid) os << ",\"victim\":" << e.victim;
+    if (e.victim != obs::Event::kNoPid) os << ",\"victim\":" << e.victim;
     if (e.slot != obs::kNoSlot) os << ",\"slot\":" << e.slot;
-    os << ",\"instance\":" << e.instance << ",\"t_ns\":" << e.mono_ns
+    os << ",\"instance\":" << e.instance << ",\"t_ns\":" << e.ts
        << ",\"writer_os_pid\":" << e.writer_os_pid << "}";
   }
   os << "]}";

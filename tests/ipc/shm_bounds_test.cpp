@@ -42,7 +42,7 @@ struct ScopedSegment {
 };
 
 std::uint64_t ring_count(const ShmNamedLockTable& table,
-                         obs::ShmEventKind kind, Pid victim) {
+                         obs::EventKind kind, Pid victim) {
   std::uint64_t n = 0;
   for (const auto& e : table.shm_metrics().ring_snapshot()) {
     if (e.kind == kind && e.victim == victim) ++n;
@@ -119,9 +119,9 @@ TEST(ShmIpcBounds, PrejoinDeathsAcrossTheStampWrap) {
 
   EXPECT_EQ(stripe.peek_refcnt(survivor->id()), 0u);
   EXPECT_EQ(table->recovery_stats().zombie_pids, 0u);
-  EXPECT_EQ(ring_count(*table, obs::ShmEventKind::kFaCompleted, landed->id()),
+  EXPECT_EQ(ring_count(*table, obs::EventKind::kFaCompleted, landed->id()),
             1u);
-  EXPECT_EQ(ring_count(*table, obs::ShmEventKind::kFaCompensated,
+  EXPECT_EQ(ring_count(*table, obs::EventKind::kFaCompensated,
                        announced->id()),
             1u);
 }
@@ -157,8 +157,8 @@ TEST(ShmIpcBounds, CleanupDeathsAcrossTheStampWrap) {
   EXPECT_EQ(table->recovery_stats().forced_aborts, 2u);
   EXPECT_EQ(table->recovery_stats().zombie_pids, 0u);
   EXPECT_EQ(
-      ring_count(*table, obs::ShmEventKind::kFaCompleted, released->id()), 1u);
-  EXPECT_EQ(ring_count(*table, obs::ShmEventKind::kFaCompensated,
+      ring_count(*table, obs::EventKind::kFaCompleted, released->id()), 1u);
+  EXPECT_EQ(ring_count(*table, obs::EventKind::kFaCompensated,
                        announced->id()),
             1u);
 

@@ -1,4 +1,4 @@
-// Crash-surviving observability coverage: the segment-hosted ShmMetrics
+// Crash-surviving observability coverage: the segment-hosted Metrics
 // sink (per-pid counters, the claim-odd/publish-even event ring, recovery
 // dispatch counters), the passage tracer that folds the ring into spans,
 // and the aml_stat JSON snapshot — all read back the way tools/aml_stat
@@ -8,25 +8,29 @@
 // shm_fork_test.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "aml/core/oneshot.hpp"
 #include "aml/ipc/shm_table.hpp"
 #include "aml/ipc/stat_snapshot.hpp"
-#include "aml/obs/shm_metrics.hpp"
+#include "aml/model/counting_cc.hpp"
+#include "aml/obs/metrics.hpp"
 #include "aml/obs/trace_export.hpp"
 
 namespace aml::ipc {
 namespace {
 
 using namespace std::chrono_literals;
-using obs::ShmEvent;
-using obs::ShmEventKind;
+using obs::Event;
+using obs::EventKind;
 
 constexpr std::uint64_t kForgedDeadPid = 0x7FFF'FFFF;
 
@@ -50,13 +54,85 @@ struct ScopedSegment {
   std::string name;
 };
 
-std::vector<ShmEvent> events_of_kind(const obs::ShmMetrics& shm,
-                                     ShmEventKind kind) {
-  std::vector<ShmEvent> out;
-  for (const ShmEvent& e : shm.ring_snapshot()) {
+std::vector<Event> events_of_kind(const obs::Metrics& shm, EventKind kind) {
+  std::vector<Event> out;
+  for (const Event& e : shm.ring_snapshot()) {
     if (e.kind == kind) out.push_back(e);
   }
   return out;
+}
+
+// --- one sink, two placements ---------------------------------------------
+
+/// The same passages on any placement: a one-shot lock on the counting
+/// model (a grant, an abort while held, a hand-off) plus the stripe-level
+/// hooks the shm stripe drives directly (a switch, a recovery arm).
+void script_passages(obs::Metrics& m) {
+  model::CountingCcModel mdl(3);
+  core::OneShotLock<model::CountingCcModel, obs::Metrics> lock(mdl, 3, 2);
+  lock.set_metrics(&m);
+  std::deque<std::atomic<bool>> signals(3);
+  ASSERT_TRUE(lock.enter(0, &signals[0]).acquired);
+  signals[1].store(true, std::memory_order_release);
+  EXPECT_FALSE(lock.enter(1, &signals[1]).acquired);
+  lock.exit(0);
+  ASSERT_TRUE(lock.enter(2, &signals[2]).acquired);
+  lock.exit(2);
+  m.on_switch(0, 2, 1);
+  m.on_spin_node_recycle(2, 3);
+  m.on_recovery_arm(EventKind::kForcedExit, 0, 2, 1, 1, 0);
+}
+
+TEST(ShmIpcStat, HeapAndSegmentPlacementsAgree) {
+  constexpr Pid kN = 3;
+  constexpr std::uint32_t kRing = 32;
+  const std::uint64_t footprint = obs::Metrics::footprint_bytes(kN, 1, kRing);
+  ScopedSegment seg(unique_name("placement"));
+  std::string error;
+  auto arena = ShmArena::create(seg.name, ShmArena::kDataBegin + footprint,
+                                /*config_hash=*/1, &error);
+  ASSERT_NE(arena, nullptr) << error;
+  obs::Metrics placed(*arena, kN, 1, kRing);
+  EXPECT_LE(arena->cursor() - ShmArena::kDataBegin, footprint);
+  obs::Metrics heap(kN, kRing);
+  script_passages(placed);
+  script_passages(heap);
+
+  for (Pid p = 0; p < kN; ++p) {
+    const obs::Metrics::Totals a = placed.of(p);
+    const obs::Metrics::Totals b = heap.of(p);
+    EXPECT_EQ(a.acquisitions, b.acquisitions) << "pid " << p;
+    EXPECT_EQ(a.aborts, b.aborts) << "pid " << p;
+    EXPECT_EQ(a.spin_iterations, b.spin_iterations) << "pid " << p;
+    EXPECT_EQ(a.findnext_ascents, b.findnext_ascents) << "pid " << p;
+    EXPECT_EQ(a.instance_switches, b.instance_switches) << "pid " << p;
+    EXPECT_EQ(a.spin_node_recycles, b.spin_node_recycles) << "pid " << p;
+  }
+  EXPECT_EQ(heap.totals().acquisitions, 2u);
+  EXPECT_EQ(heap.totals().aborts, 1u);
+  EXPECT_EQ(placed.recovery_totals().forced_exits, 1u);
+  EXPECT_EQ(heap.recovery_totals().forced_exits, 1u);
+  EXPECT_EQ(placed.handoff().count, heap.handoff().count);
+
+  const std::vector<Event> a = placed.ring_snapshot();
+  const std::vector<Event> b = heap.ring_snapshot();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.size(), 10u);  // 2 passages x 3, enter + abort, switch, arm
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
+    EXPECT_EQ(a[i].pid, b[i].pid) << "event " << i;
+    EXPECT_EQ(a[i].slot, b[i].slot) << "event " << i;
+    EXPECT_EQ(a[i].seq, b[i].seq) << "event " << i;
+    EXPECT_EQ(a[i].victim, b[i].victim) << "event " << i;
+    EXPECT_EQ(a[i].instance, b[i].instance) << "event " << i;
+    // Timestamps follow the placement: ticks on the heap, CLOCK_MONOTONIC
+    // in the segment.
+    EXPECT_EQ(b[i].ts, i + 1);
+    if (i != 0) {
+      EXPECT_LE(a[i - 1].ts, a[i].ts);
+    }
+  }
+  EXPECT_GT(a.front().ts, a.size());
 }
 
 // --- the shm ring itself ---------------------------------------------------
@@ -73,28 +149,28 @@ TEST(ShmIpcStat, LifecycleEventsLandInTheSegmentRing) {
     auto guard = session->acquire(std::uint64_t{7});
   }
 
-  obs::ShmMetrics& shm = table->shm_metrics();
+  obs::Metrics& shm = table->shm_metrics();
   // One full passage: enter, granted, exit — all attributed to the session's
   // dense pid, stamped with this OS process, in ring order.
   std::uint64_t torn = ~std::uint64_t{0};
-  const std::vector<ShmEvent> events = shm.ring_snapshot(&torn);
+  const std::vector<Event> events = shm.ring_snapshot(&torn);
   EXPECT_EQ(torn, 0u);
   ASSERT_GE(events.size(), 3u);
-  std::vector<ShmEventKind> kinds;
-  for (const ShmEvent& e : events) {
+  std::vector<EventKind> kinds;
+  for (const Event& e : events) {
     EXPECT_EQ(e.pid, session->id());
     EXPECT_EQ(e.writer_os_pid, static_cast<std::uint64_t>(::getpid()));
     kinds.push_back(e.kind);
   }
-  const std::vector<ShmEventKind> expect = {
-      ShmEventKind::kEnter, ShmEventKind::kGranted, ShmEventKind::kExit};
-  EXPECT_EQ(std::vector<ShmEventKind>(kinds.begin(), kinds.begin() + 3),
+  const std::vector<EventKind> expect = {
+      EventKind::kEnter, EventKind::kGranted, EventKind::kExit};
+  EXPECT_EQ(std::vector<EventKind>(kinds.begin(), kinds.begin() + 3),
             expect);
 
-  const obs::ShmMetrics::Totals totals = shm.totals();
+  const obs::Metrics::Totals totals = shm.totals();
   EXPECT_EQ(totals.acquisitions, 1u);
   EXPECT_EQ(totals.aborts, 0u);
-  EXPECT_EQ(shm.pid_counters(session->id()).acquisitions, 1u);
+  EXPECT_EQ(shm.of(session->id()).acquisitions, 1u);
 }
 
 TEST(ShmIpcStat, RingWrapKeepsNewestAndCountsDropped) {
@@ -111,13 +187,13 @@ TEST(ShmIpcStat, RingWrapKeepsNewestAndCountsDropped) {
     auto guard = session->acquire(std::uint64_t{3});  // 3 events per passage
   }
 
-  obs::ShmMetrics& shm = table->shm_metrics();
+  obs::Metrics& shm = table->shm_metrics();
   // 16 passages at >= 3 events each overflowed the 16-slot ring for sure.
   const std::uint64_t total = shm.ring_total();
   EXPECT_GE(total, 48u);
   EXPECT_EQ(shm.ring_dropped(), total - 16u);
   std::uint64_t torn = ~std::uint64_t{0};
-  const std::vector<ShmEvent> events = shm.ring_snapshot(&torn);
+  const std::vector<Event> events = shm.ring_snapshot(&torn);
   // Quiesced single writer: the retained window is fully published.
   EXPECT_EQ(torn, 0u);
   ASSERT_EQ(events.size(), 16u);
@@ -144,7 +220,7 @@ TEST(ShmIpcStat, HandoffHistogramRecordsCrossSessionHandoffs) {
   }
   // Every grant after the first claims the previous exit's parked
   // timestamp (same stripe), regardless of which session held before.
-  const obs::ShmHistogramSnapshot h = table->shm_metrics().handoff();
+  const obs::HistogramSnapshot h = table->shm_metrics().handoff();
   EXPECT_GE(h.count, 7u);
   EXPECT_GT(h.sum, 0u);
   EXPECT_GE(h.p99, h.p50);
@@ -167,14 +243,14 @@ TEST(ShmIpcStat, ForcedExitArmEmitsOneTypedEventWithVictim) {
   table->registry().debug_set_os_pid(victim->id(), kForgedDeadPid);
   EXPECT_EQ(survivor->recover_dead(), 1u);
 
-  obs::ShmMetrics& shm = table->shm_metrics();
-  const auto forced = events_of_kind(shm, ShmEventKind::kForcedExit);
+  obs::Metrics& shm = table->shm_metrics();
+  const auto forced = events_of_kind(shm, EventKind::kForcedExit);
   ASSERT_EQ(forced.size(), 1u);
   EXPECT_EQ(forced[0].victim, victim->id());
   EXPECT_EQ(forced[0].pid, survivor->id());  // the executor
   EXPECT_EQ(forced[0].stripe, s);
 
-  const obs::ShmRecoverySnapshot rec = shm.recovery_totals();
+  const obs::RecoverySnapshot rec = shm.recovery_totals();
   EXPECT_EQ(rec.forced_exits, 1u);
   EXPECT_EQ(rec.total(), 1u);
   EXPECT_EQ(shm.recovery_stripe(s).forced_exits, 1u);
@@ -202,8 +278,8 @@ TEST(ShmIpcStat, ZombieRetireArmEmitsOneTypedEventWithVictim) {
   table->registry().debug_set_os_pid(victim->id(), kForgedDeadPid);
   EXPECT_EQ(survivor->recover_dead(), 0u);  // zombies are not "recovered"
 
-  obs::ShmMetrics& shm = table->shm_metrics();
-  const auto retired = events_of_kind(shm, ShmEventKind::kZombieRetire);
+  obs::Metrics& shm = table->shm_metrics();
+  const auto retired = events_of_kind(shm, EventKind::kZombieRetire);
   ASSERT_EQ(retired.size(), 1u);
   EXPECT_EQ(retired[0].victim, victim->id());
   EXPECT_EQ(retired[0].pid, survivor->id());
@@ -234,8 +310,8 @@ TEST(ShmIpcStat, JoinedVictimAbortedOnBehalfWithOneTypedEvent) {
   table->registry().debug_set_os_pid(victim->id(), kForgedDeadPid);
   EXPECT_EQ(survivor->recover_dead(), 1u);
 
-  obs::ShmMetrics& shm = table->shm_metrics();
-  const auto aborted = events_of_kind(shm, ShmEventKind::kAbortOnBehalf);
+  obs::Metrics& shm = table->shm_metrics();
+  const auto aborted = events_of_kind(shm, EventKind::kAbortOnBehalf);
   ASSERT_EQ(aborted.size(), 1u);
   EXPECT_EQ(aborted[0].victim, victim->id());
   EXPECT_EQ(aborted[0].pid, survivor->id());
@@ -267,7 +343,7 @@ TEST(ShmIpcStat, TracerClosesVictimSpanForcedWithRecoveryAnnotation) {
     auto guard = survivor->acquire(std::uint64_t{0});
   }
 
-  const std::vector<ShmEvent> events =
+  const std::vector<Event> events =
       table->shm_metrics().ring_snapshot();
   const std::vector<obs::PassageSpan> spans =
       obs::assemble_passage_spans(events);
@@ -282,14 +358,14 @@ TEST(ShmIpcStat, TracerClosesVictimSpanForcedWithRecoveryAnnotation) {
   ASSERT_NE(victim_span, nullptr);
   EXPECT_TRUE(victim_span->granted);
   EXPECT_TRUE(victim_span->closed);
-  EXPECT_EQ(victim_span->close_kind, ShmEventKind::kForcedExit);
+  EXPECT_EQ(victim_span->close_kind, EventKind::kForcedExit);
   EXPECT_EQ(victim_span->recovered_by, survivor->id());
   EXPECT_GE(victim_span->end_ns, victim_span->begin_ns);
 
   bool survivor_clean = false;
   for (const obs::PassageSpan& span : spans) {
     if (span.pid == survivor->id() && span.closed && !span.forced &&
-        span.close_kind == ShmEventKind::kExit) {
+        span.close_kind == EventKind::kExit) {
       survivor_clean = true;
     }
   }
@@ -311,14 +387,14 @@ TEST(ShmIpcStat, TracerClosesVictimSpanForcedWithRecoveryAnnotation) {
 TEST(ShmIpcStat, TracerSynthesizesSpanWhenOpeningEventWrapped) {
   // Ring wrap robustness: a terminal whose opening enter was overwritten
   // still yields a (partial) span instead of disappearing.
-  std::vector<ShmEvent> events;
-  ShmEvent term;
-  term.kind = ShmEventKind::kAbortOnBehalf;
+  std::vector<Event> events;
+  Event term;
+  term.kind = EventKind::kAbortOnBehalf;
   term.stripe = 1;
   term.pid = 2;      // executor
   term.victim = 0;   // victim whose enter was lost
   term.seq = 900;
-  term.mono_ns = 5'000;
+  term.ts = 5'000;
   events.push_back(term);
 
   const std::vector<obs::PassageSpan> spans =
@@ -328,7 +404,7 @@ TEST(ShmIpcStat, TracerSynthesizesSpanWhenOpeningEventWrapped) {
   EXPECT_TRUE(spans[0].closed);
   EXPECT_TRUE(spans[0].forced);
   EXPECT_EQ(spans[0].recovered_by, 2u);
-  EXPECT_EQ(spans[0].close_kind, ShmEventKind::kAbortOnBehalf);
+  EXPECT_EQ(spans[0].close_kind, EventKind::kAbortOnBehalf);
 }
 
 // --- aml_stat snapshot -----------------------------------------------------

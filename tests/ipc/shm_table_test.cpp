@@ -206,7 +206,7 @@ TEST(ShmIpcTable, RecoverIdleVictimReclaimsWithoutRepairs) {
 // --- recoverable F&A: forged deaths inside the journaled windows ----------
 
 std::uint64_t ring_count(const ShmNamedLockTable& table,
-                         obs::ShmEventKind kind, Pid victim) {
+                         obs::EventKind kind, Pid victim) {
   std::uint64_t n = 0;
   for (const auto& e : table.shm_metrics().ring_snapshot()) {
     if (e.kind == kind && e.victim == victim) ++n;
@@ -255,14 +255,14 @@ TEST(ShmIpcTable, ForgedPrejoinDeathsDecideByJournal) {
   EXPECT_EQ(table->registry().state(landed->id()), ProcessRegistry::kFree);
 
   // The decision is observable: one compensated, one completed, no retire.
-  const obs::ShmRecoverySnapshot rec = table->shm_metrics().recovery_totals();
+  const obs::RecoverySnapshot rec = table->shm_metrics().recovery_totals();
   EXPECT_EQ(rec.fa_compensated, 1u);
   EXPECT_EQ(rec.fa_completed, 1u);
   EXPECT_EQ(rec.zombie_retires, 0u);
-  EXPECT_EQ(ring_count(*table, obs::ShmEventKind::kFaCompensated,
+  EXPECT_EQ(ring_count(*table, obs::EventKind::kFaCompensated,
                        announced->id()),
             1u);
-  EXPECT_EQ(ring_count(*table, obs::ShmEventKind::kFaCompleted, landed->id()),
+  EXPECT_EQ(ring_count(*table, obs::EventKind::kFaCompleted, landed->id()),
             1u);
 }
 
@@ -303,7 +303,7 @@ TEST(ShmIpcTable, ForgedCleanupDeathsCompleteOrCompensate) {
   EXPECT_EQ(table->registry().state(announced->id()), ProcessRegistry::kFree);
   EXPECT_EQ(table->registry().state(released->id()), ProcessRegistry::kFree);
 
-  const obs::ShmRecoverySnapshot rec = table->shm_metrics().recovery_totals();
+  const obs::RecoverySnapshot rec = table->shm_metrics().recovery_totals();
   EXPECT_EQ(rec.fa_compensated, 1u);
   EXPECT_EQ(rec.fa_completed, 1u);
   EXPECT_EQ(rec.zombie_retires, 0u);
@@ -351,7 +351,7 @@ TEST(ShmIpcTable, ForgedSwitchAnnouncedDeathRedoesTheSwitch) {
   EXPECT_EQ(table->registry().state(victim->id()), ProcessRegistry::kFree);
   EXPECT_EQ(table->shm_metrics().recovery_totals().fa_completed, 1u);
   EXPECT_EQ(
-      ring_count(*table, obs::ShmEventKind::kFaCompleted, victim->id()), 1u);
+      ring_count(*table, obs::EventKind::kFaCompleted, victim->id()), 1u);
 
   // The switched-to instance grants normally.
   std::uint64_t key = 0;

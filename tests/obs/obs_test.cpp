@@ -1,7 +1,8 @@
-// aml::obs unit tests: event ring semantics, histogram summaries, metrics
-// counters and hand-off latency, the zero-cost disabled sink, and an
-// end-to-end sequential integration against the one-shot lock on the
-// counting CC model.
+// aml::obs unit tests: the sink's event ring (claim/publish tag protocol,
+// wraparound, stalled writers), histogram summaries, counters and hand-off
+// latency under the heap placement's logical clock, the zero-cost disabled
+// sink, and end-to-end sequential integration against the one-shot lock on
+// the counting CC model — including passage spans built from a heap ring.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +11,8 @@
 
 #include "aml/core/oneshot.hpp"
 #include "aml/model/counting_cc.hpp"
-#include "aml/obs/events.hpp"
-#include "aml/obs/histogram.hpp"
 #include "aml/obs/metrics.hpp"
+#include "aml/obs/trace_export.hpp"
 
 namespace aml::obs {
 namespace {
@@ -27,40 +27,51 @@ static_assert(
         sizeof(core::OneShotLock<model::CountingCcModel, Metrics>),
     "NullMetrics lock must not be larger than the instrumented one");
 
-// --- EventRing --------------------------------------------------------------
+/// A ring event with the given kind, pid, slot and timestamp.
+Event ev(EventKind kind, model::Pid pid, std::uint32_t slot,
+         std::uint64_t ts) {
+  return Event{.kind = kind, .pid = pid, .slot = slot, .ts = ts};
+}
+
+void push(Metrics& m, const Event& e) { m.publish(m.claim(), e); }
+
+// --- the event ring ---------------------------------------------------------
 
 TEST(EventRingTest, DisabledWhenCapacityZero) {
-  EventRing ring(0);
-  ring.push({EventKind::kEnter, 0, 1, 10});
-  EXPECT_EQ(ring.capacity(), 0u);
-  EXPECT_EQ(ring.total_recorded(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
+  Metrics m(1);
+  push(m, ev(EventKind::kEnter, 0, 1, 10));
+  m.on_enter(0, 1);
+  m.on_granted(0, 1);
+  EXPECT_EQ(m.ring_capacity(), 0u);
+  EXPECT_EQ(m.ring_total(), 0u);
+  EXPECT_TRUE(m.ring_snapshot().empty());
 }
 
 TEST(EventRingTest, RetainsInOrderBelowCapacity) {
-  EventRing ring(8);
+  Metrics m(8, 8);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ring.push({EventKind::kEnter, static_cast<model::Pid>(i),
-               static_cast<std::uint32_t>(i), i + 1});
+    push(m, ev(EventKind::kEnter, static_cast<model::Pid>(i),
+               static_cast<std::uint32_t>(i), i + 1));
   }
-  EXPECT_EQ(ring.total_recorded(), 5u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  const auto events = ring.snapshot();
+  EXPECT_EQ(m.ring_total(), 5u);
+  EXPECT_EQ(m.ring_dropped(), 0u);
+  const auto events = m.ring_snapshot();
   ASSERT_EQ(events.size(), 5u);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].tick, i + 1);
+    EXPECT_EQ(events[i].ts, i + 1);
     EXPECT_EQ(events[i].slot, i);
+    EXPECT_EQ(events[i].seq, i);
   }
 }
 
 TEST(EventRingTest, WraparoundKeepsNewestAndCountsDropped) {
-  EventRing ring(4);
+  Metrics m(1, 4);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ring.push({EventKind::kExit, 0, static_cast<std::uint32_t>(i), i + 1});
+    push(m, ev(EventKind::kExit, 0, static_cast<std::uint32_t>(i), i + 1));
   }
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  EXPECT_EQ(ring.dropped(), 6u);
-  const auto events = ring.snapshot();
+  EXPECT_EQ(m.ring_total(), 10u);
+  EXPECT_EQ(m.ring_dropped(), 6u);
+  const auto events = m.ring_snapshot();
   ASSERT_EQ(events.size(), 4u);
   // Oldest retained first: slots 6,7,8,9.
   for (std::size_t i = 0; i < 4; ++i) {
@@ -71,53 +82,53 @@ TEST(EventRingTest, WraparoundKeepsNewestAndCountsDropped) {
 TEST(EventRingTest, StalledWriterSlotSkippedNotTorn) {
   // The wrap race the per-slot sequence tags exist for: writer A claims a
   // slot and stalls before publishing; other writers wrap the ring past it.
-  // snapshot() must skip A's slot (odd tag, or stale generation) instead of
-  // returning whatever half-written payload sits there.
-  EventRing ring(4);
-  const EventRing::Claim stalled = ring.claim();  // seq 0, never published
+  // ring_snapshot() must skip A's slot (odd tag, or stale generation)
+  // instead of returning whatever half-written payload sits there.
+  Metrics m(10, 4);
+  const Metrics::Claim stalled = m.claim();  // seq 0, never published
   for (std::uint64_t i = 1; i <= 4; ++i) {
     // Seqs 1..4: seq 4 wraps onto the stalled slot's index (4 % 4 == 0)
     // and overwrites its claim tag.
-    ring.push({EventKind::kEnter, 0, static_cast<std::uint32_t>(i), i});
+    push(m, ev(EventKind::kEnter, 0, static_cast<std::uint32_t>(i), i));
   }
   std::uint64_t torn = 0;
-  auto events = ring.snapshot(&torn);
+  auto events = m.ring_snapshot(&torn);
   // Retained window is seqs 1..4, all published: nothing torn, and the
   // stalled seq-0 entry is outside the window entirely.
   EXPECT_EQ(torn, 0u);
   ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].tick, i + 1);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].ts, i + 1);
 
   // Now the stalled writer finally publishes — long after its slot was
   // recycled for seq 4. The stale even tag names seq 0, so the slot no
   // longer matches seq 4's expected tag and is skipped and counted.
-  ring.publish(stalled, {EventKind::kAbort, 9, 99, 999});
-  events = ring.snapshot(&torn);
+  m.publish(stalled, ev(EventKind::kAbort, 9, 99, 999));
+  events = m.ring_snapshot(&torn);
   EXPECT_EQ(torn, 1u);
   ASSERT_EQ(events.size(), 3u);
   for (const Event& e : events) {
     EXPECT_NE(e.slot, 99u);  // the stale payload never surfaces
-    EXPECT_NE(e.tick, 999u);
+    EXPECT_NE(e.ts, 999u);
   }
 }
 
 TEST(EventRingTest, ClaimedButUnpublishedSlotInWindowIsSkipped) {
-  EventRing ring(8);
-  ring.push({EventKind::kEnter, 1, 1, 1});
-  const EventRing::Claim stalled = ring.claim();  // seq 1: odd tag, in window
-  ring.push({EventKind::kGranted, 1, 1, 3});
+  Metrics m(2, 8);
+  push(m, ev(EventKind::kEnter, 1, 1, 1));
+  const Metrics::Claim stalled = m.claim();  // seq 1: odd tag, in window
+  push(m, ev(EventKind::kGranted, 1, 1, 3));
   std::uint64_t torn = 0;
-  const auto events = ring.snapshot(&torn);
+  const auto events = m.ring_snapshot(&torn);
   EXPECT_EQ(torn, 1u);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].tick, 1u);
-  EXPECT_EQ(events[1].tick, 3u);
+  EXPECT_EQ(events[0].ts, 1u);
+  EXPECT_EQ(events[1].ts, 3u);
   // Late publish into a still-current slot heals it: the tag now matches.
-  ring.publish(stalled, {EventKind::kAbort, 1, 1, 2});
-  const auto healed = ring.snapshot(&torn);
+  m.publish(stalled, ev(EventKind::kAbort, 1, 1, 2));
+  const auto healed = m.ring_snapshot(&torn);
   EXPECT_EQ(torn, 0u);
   ASSERT_EQ(healed.size(), 3u);
-  EXPECT_EQ(healed[1].tick, 2u);
+  EXPECT_EQ(healed[1].ts, 2u);
   EXPECT_EQ(healed[1].kind, EventKind::kAbort);
 }
 
@@ -127,54 +138,49 @@ TEST(EventRingTest, KindNames) {
   EXPECT_STREQ(event_kind_name(EventKind::kAbort), "abort");
   EXPECT_STREQ(event_kind_name(EventKind::kExit), "exit");
   EXPECT_STREQ(event_kind_name(EventKind::kSwitch), "switch");
+  EXPECT_STREQ(event_kind_name(EventKind::kAbortOnBehalf), "forced-abort");
+  EXPECT_STREQ(event_kind_name(EventKind::kZombieReclaim),
+               "zombie-reclaimed");
+  // Numbered from 1: an all-zero meta word never decodes as an event.
+  EXPECT_EQ(static_cast<int>(EventKind::kEnter), 1);
+  EXPECT_FALSE(event_is_recovery(EventKind::kExit));
+  EXPECT_TRUE(event_is_recovery(EventKind::kForcedExit));
 }
 
-// --- LatencyHistogram -------------------------------------------------------
+// --- histograms -------------------------------------------------------------
 
 TEST(HistogramTest, BucketGeometry) {
-  EXPECT_EQ(LatencyHistogram::bucket_of(0), 0u);
-  EXPECT_EQ(LatencyHistogram::bucket_of(1), 1u);
-  EXPECT_EQ(LatencyHistogram::bucket_of(2), 2u);
-  EXPECT_EQ(LatencyHistogram::bucket_of(3), 2u);
-  EXPECT_EQ(LatencyHistogram::bucket_of(4), 3u);
-  EXPECT_EQ(LatencyHistogram::bucket_of(~std::uint64_t{0}), 64u);
-  EXPECT_EQ(LatencyHistogram::bucket_upper(0), 0u);
-  EXPECT_EQ(LatencyHistogram::bucket_upper(1), 1u);
-  EXPECT_EQ(LatencyHistogram::bucket_upper(2), 3u);
-  EXPECT_EQ(LatencyHistogram::bucket_upper(3), 7u);
+  EXPECT_EQ(bucket_of(0), 0u);
+  EXPECT_EQ(bucket_of(1), 1u);
+  EXPECT_EQ(bucket_of(2), 2u);
+  EXPECT_EQ(bucket_of(3), 2u);
+  EXPECT_EQ(bucket_of(4), 3u);
+  EXPECT_EQ(bucket_of(~std::uint64_t{0}), 64u);
+  EXPECT_EQ(bucket_upper(0), 0u);
+  EXPECT_EQ(bucket_upper(1), 1u);
+  EXPECT_EQ(bucket_upper(2), 3u);
+  EXPECT_EQ(bucket_upper(3), 7u);
 }
 
 TEST(HistogramTest, EmptySnapshot) {
-  LatencyHistogram h;
-  const auto s = h.snapshot();
+  Metrics m(1);
+  const HistogramSnapshot s = m.handoff();
   EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.min, 0u);
-  EXPECT_EQ(s.max, 0u);
+  EXPECT_EQ(s.sum, 0u);
+  EXPECT_EQ(s.p99, 0u);
 }
 
 TEST(HistogramTest, SummaryStats) {
-  LatencyHistogram h;
-  for (std::uint64_t v : {1u, 2u, 3u, 100u}) h.record(v);
-  const auto s = h.snapshot();
+  Metrics m(1);
+  for (std::uint64_t v : {1u, 2u, 3u, 100u}) m.record_sweep_ns(v);
+  const HistogramSnapshot s = m.sweep_latency();
   EXPECT_EQ(s.count, 4u);
   EXPECT_EQ(s.sum, 106u);
-  EXPECT_EQ(s.min, 1u);
-  EXPECT_EQ(s.max, 100u);
   EXPECT_DOUBLE_EQ(s.mean, 26.5);
   // p50 rank = 2 -> value 2 lives in bucket 2 (upper bound 3).
   EXPECT_EQ(s.p50, 3u);
   // p99 rank = 4 -> 100 lives in bucket 7 (upper bound 127).
   EXPECT_EQ(s.p99, 127u);
-}
-
-TEST(HistogramTest, ResetClears) {
-  LatencyHistogram h;
-  h.record(42);
-  h.reset();
-  const auto s = h.snapshot();
-  EXPECT_EQ(s.count, 0u);
-  h.record(7);
-  EXPECT_EQ(h.snapshot().min, 7u);
 }
 
 // --- Metrics ----------------------------------------------------------------
@@ -193,7 +199,7 @@ TEST(MetricsTest, CountersPerProcessAndTotals) {
   EXPECT_EQ(m.of(0).acquisitions, 2u);
   EXPECT_EQ(m.of(1).aborts, 1u);
   EXPECT_EQ(m.of(2).spin_iterations, 3u);
-  const Counters t = m.totals();
+  const Metrics::Totals t = m.totals();
   EXPECT_EQ(t.acquisitions, 2u);
   EXPECT_EQ(t.aborts, 1u);
   EXPECT_EQ(t.spin_iterations, 3u);
@@ -204,14 +210,26 @@ TEST(MetricsTest, CountersPerProcessAndTotals) {
 
 TEST(MetricsTest, HandoffLatencyRecordedBetweenExitAndGrant) {
   Metrics m(2);
-  m.on_granted(0, 0);           // tick 1, no pending hand-off
-  m.on_exit(0, 0);              // tick 2, arms hand-off
-  m.on_enter(1, 1);             // tick 3
-  m.on_granted(1, 1);           // tick 4 -> latency 4 - 2 = 2
-  const auto s = m.handoff().snapshot();
+  m.on_granted(0, 0);  // tick 1, no pending hand-off
+  m.on_exit(0, 0);     // tick 2, arms hand-off
+  m.on_enter(1, 1);    // ring off: no tick
+  m.on_granted(1, 1);  // tick 3 -> latency 3 - 2 = 1
+  const HistogramSnapshot s = m.handoff();
   ASSERT_EQ(s.count, 1u);
-  EXPECT_EQ(s.min, 2u);
-  EXPECT_EQ(s.max, 2u);
+  EXPECT_EQ(s.sum, 1u);
+}
+
+TEST(MetricsTest, RingOffAdvancesClockOnlyForTheHandoffPair) {
+  Metrics m(2);
+  m.on_exit(0, 0);  // tick 1
+  for (int i = 0; i < 5; ++i) {
+    m.on_enter(1, 1);
+    m.on_abort(1, 1);
+    m.on_switch(1);
+  }
+  m.on_granted(1, 2);  // tick 2: the 15 ring-only hooks took no ticks
+  EXPECT_EQ(m.handoff().sum, 1u);
+  EXPECT_EQ(m.ring_total(), 0u);
 }
 
 TEST(MetricsTest, RingRecordsLifecycle) {
@@ -220,38 +238,17 @@ TEST(MetricsTest, RingRecordsLifecycle) {
   m.on_granted(0, 0);
   m.on_exit(0, 0);
   m.on_switch(1);
-  const auto events = m.ring().snapshot();
+  const auto events = m.ring_snapshot();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].kind, EventKind::kEnter);
   EXPECT_EQ(events[1].kind, EventKind::kGranted);
   EXPECT_EQ(events[2].kind, EventKind::kExit);
   EXPECT_EQ(events[3].kind, EventKind::kSwitch);
   EXPECT_EQ(events[3].slot, kNoSlot);
-  // Logical clock: strictly increasing ticks.
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LT(events[i - 1].tick, events[i].tick);
+  // Heap placement, ring on: every event takes the next logical tick.
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].ts, i + 1);
   }
-}
-
-TEST(MetricsTest, CustomClock) {
-  Metrics m(1, 4);
-  std::uint64_t fake = 100;
-  m.set_clock([&fake] { return fake; });
-  m.on_enter(0, 0);
-  fake = 250;
-  m.on_granted(0, 0);
-  const auto events = m.ring().snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].tick, 100u);
-  EXPECT_EQ(events[1].tick, 250u);
-}
-
-TEST(MetricsTest, ResetClearsCountersKeepsRingHistory) {
-  Metrics m(1, 8);
-  m.on_granted(0, 0);
-  m.reset();
-  EXPECT_EQ(m.totals().acquisitions, 0u);
-  EXPECT_EQ(m.ring().total_recorded(), 1u);  // documented: history retained
 }
 
 // --- SinkHandle -------------------------------------------------------------
@@ -286,14 +283,14 @@ TEST(ObsIntegrationTest, OneShotSequentialLifecycle) {
     lock.exit(p);
   }
 
-  const Counters t = metrics.totals();
+  const Metrics::Totals t = metrics.totals();
   EXPECT_EQ(t.acquisitions, kN);
   EXPECT_EQ(t.aborts, 0u);
   // Every exit runs SignalNext.
   EXPECT_EQ(t.findnext_ascents, kN);
 
   // Sequential and uncontended: enter/granted/exit per process, in order.
-  const auto events = metrics.ring().snapshot();
+  const auto events = metrics.ring_snapshot();
   ASSERT_EQ(events.size(), 3u * kN);
   for (std::uint32_t p = 0; p < kN; ++p) {
     EXPECT_EQ(events[3 * p].kind, EventKind::kEnter);
@@ -304,7 +301,7 @@ TEST(ObsIntegrationTest, OneShotSequentialLifecycle) {
   }
 
   // Hand-offs: kN-1 exit->granted pairs.
-  EXPECT_EQ(metrics.handoff().snapshot().count, kN - 1);
+  EXPECT_EQ(metrics.handoff().count, kN - 1);
 }
 
 TEST(ObsIntegrationTest, AbortIsCounted) {
@@ -322,6 +319,38 @@ TEST(ObsIntegrationTest, AbortIsCounted) {
   EXPECT_EQ(metrics.totals().aborts, 1u);
   EXPECT_EQ(metrics.of(1).aborts, 1u);
   EXPECT_GT(metrics.of(1).spin_iterations, 0u);
+}
+
+TEST(ObsIntegrationTest, PassageSpansFromHeapRing) {
+  // The passage tracer reads a heap-placed ring exactly as it reads a
+  // segment's: one span per attempt, granted ones with a CS, the aborted
+  // one closed by its owner — in logical ticks, so the spans nest.
+  model::CountingCcModel mdl(2);
+  core::OneShotLock<model::CountingCcModel, Metrics> lock(mdl, 2, 2);
+  Metrics metrics(2, 64);
+  lock.set_metrics(&metrics);
+
+  std::deque<std::atomic<bool>> signals(2);
+  ASSERT_TRUE(lock.enter(0, &signals[0]).acquired);
+  signals[1].store(true, std::memory_order_release);
+  EXPECT_FALSE(lock.enter(1, &signals[1]).acquired);
+  lock.exit(0);
+
+  const std::vector<PassageSpan> spans =
+      assemble_passage_spans(metrics.ring_snapshot());
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].pid, 0u);
+  EXPECT_TRUE(spans[0].granted);
+  EXPECT_TRUE(spans[0].closed);
+  EXPECT_EQ(spans[0].close_kind, EventKind::kExit);
+  EXPECT_LT(spans[0].begin_ns, spans[0].granted_ns);
+  EXPECT_LT(spans[0].granted_ns, spans[0].end_ns);
+  EXPECT_EQ(spans[1].pid, 1u);
+  EXPECT_FALSE(spans[1].granted);
+  EXPECT_TRUE(spans[1].closed);
+  EXPECT_FALSE(spans[1].forced);
+  EXPECT_EQ(spans[1].close_kind, EventKind::kAbort);
+  EXPECT_LT(spans[1].begin_ns, spans[1].end_ns);
 }
 
 }  // namespace

@@ -194,7 +194,8 @@ TEST(TableNativeStress, ZipfDeadlineStormWithSessionChurn) {
           // Hold the stripe for a real window so zero-budget attempts can
           // collide with a holder; an instantaneous critical section makes
           // the timeout half of the storm vanish.
-          for (volatile int spin = 0; spin < 1000; ++spin) {
+          for (volatile int spin = 0; spin < 1000;) {
+            spin = spin + 1;
           }
           in_cs[s].fetch_sub(1, std::memory_order_acq_rel);
           granted.fetch_add(1, std::memory_order_relaxed);
@@ -219,6 +220,48 @@ TEST(TableNativeStress, ZipfDeadlineStormWithSessionChurn) {
     sink_acquisitions += table.stripe_metrics(s).totals().acquisitions;
   }
   EXPECT_GE(sink_acquisitions, granted.load() + tx_done.load());
+}
+
+// Per-stripe sink counters are read while sessions run — a dashboard
+// polling stripe_metrics(s).totals() mid-traffic. Each per-pid cell has one
+// writer and any number of readers, so the reads must be race-free (TSan
+// runs this suite) and every reader must see each counter only grow.
+TEST(TableNative, StripeTotalsReadWhileSessionsRun) {
+  constexpr std::uint32_t kWorkers = 3;
+  constexpr std::uint64_t kPassages = 2000;
+  ObservedNamedLockTable table({.max_threads = kWorkers, .stripes = 4});
+  std::atomic<std::uint32_t> done{0};
+  std::atomic<bool> went_backwards{false};
+  std::uint64_t polls = 0;
+
+  pal::run_threads(kWorkers + 1, [&](std::uint32_t t) {
+    if (t == kWorkers) {
+      std::uint64_t last = 0;
+      while (done.load(std::memory_order_acquire) < kWorkers) {
+        std::uint64_t sum = 0;
+        for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
+          sum += table.stripe_metrics(s).totals().acquisitions;
+        }
+        if (sum < last) went_backwards.store(true);
+        last = sum;
+        ++polls;
+      }
+      return;
+    }
+    auto session = table.open_session();
+    for (std::uint64_t i = 0; i < kPassages; ++i) {
+      auto guard = session.acquire(i * kWorkers + t);
+    }
+    done.fetch_add(1, std::memory_order_release);
+  });
+
+  EXPECT_FALSE(went_backwards.load());
+  EXPECT_GT(polls, 0u);
+  std::uint64_t total = 0;
+  for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
+    total += table.stripe_metrics(s).totals().acquisitions;
+  }
+  EXPECT_EQ(total, kWorkers * kPassages);
 }
 
 // StripeGuard move semantics: ownership transfers exactly once — the

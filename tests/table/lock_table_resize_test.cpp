@@ -285,8 +285,12 @@ TEST(LockTableResize, NoRunawayDoubleGrowAfterDrain) {
     });
     mem.set_hook(&scheduler);
     const auto result = scheduler.run([&](Pid p) {
-      if (p == 1) EXPECT_FALSE(table.enter(1, kKey, &stop1));
-      if (p == 2) EXPECT_FALSE(table.enter(2, kKey, &stop2));
+      if (p == 1) {
+        EXPECT_FALSE(table.enter(1, kKey, &stop1));
+      }
+      if (p == 2) {
+        EXPECT_FALSE(table.enter(2, kKey, &stop2));
+      }
     });
     mem.set_hook(nullptr);
     EXPECT_TRUE(result.violation.empty()) << result.violation;

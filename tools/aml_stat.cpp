@@ -30,7 +30,7 @@
 
 #include "aml/ipc/shm_table.hpp"
 #include "aml/ipc/stat_snapshot.hpp"
-#include "aml/obs/shm_metrics.hpp"
+#include "aml/obs/metrics.hpp"
 #include "aml/obs/trace_export.hpp"
 
 namespace {
@@ -50,8 +50,8 @@ int usage(const char* argv0, int code) {
 
 void print_watch(std::ostream& os, ShmNamedLockTable& table) {
   const aml::ipc::ShmTableConfig& cfg = table.config();
-  aml::obs::ShmMetrics& shm = table.shm_metrics();
-  const std::uint64_t now = aml::obs::ShmMetrics::now_ns();
+  aml::obs::Metrics& shm = table.shm_metrics();
+  const std::uint64_t now = aml::obs::Metrics::now_ns();
 
   os << "\033[2J\033[H";  // clear + home
   os << "segment " << table.arena().name() << "   nprocs " << cfg.nprocs
