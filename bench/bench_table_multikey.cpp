@@ -9,6 +9,7 @@
 // "deadline passed, back off, try again" loop). Reported: per-transaction
 // RMR (completed vs aborted attempts) and the retry traffic, all
 // deterministic per seed (byte-identical JSON, ctest-enforced).
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -42,15 +43,29 @@ struct MultiKeyResult {
   std::uint64_t completed = 0;
   std::uint64_t aborted = 0;
   std::uint64_t retries = 0;
-  std::uint64_t stripes_locked = 0;  // sum of |plan| over completed tx
+  std::uint64_t stripes_locked = 0;  // sum of stripes held over completed tx
 };
+
+using CcTable = aml::table::LockTable<CountingCcModel>;
+
+/// Distinct stripes a hash plan acquires (the table never resizes here).
+std::uint64_t distinct_stripes(const CcTable& table,
+                               const std::vector<std::uint64_t>& plan) {
+  std::vector<std::uint32_t> stripes;
+  for (const std::uint64_t h : plan) {
+    stripes.push_back(static_cast<std::uint32_t>(h) &
+                      (table.stripe_count() - 1));
+  }
+  std::sort(stripes.begin(), stripes.end());
+  return static_cast<std::uint64_t>(
+      std::unique(stripes.begin(), stripes.end()) - stripes.begin());
+}
 
 MultiKeyResult run_multikey(std::uint32_t group, std::uint32_t abort_ppm,
                             std::uint64_t seed) {
   CountingCcModel model(kProcs);
-  aml::table::LockTable<CountingCcModel> table(
-      model,
-      {.max_threads = kProcs, .stripes = kStripes, .tree_width = 8});
+  CcTable table(model,
+                {.max_threads = kProcs, .stripes = kStripes, .tree_width = 8});
   aml::pal::ZipfDistribution zipf(kKeys, kTheta);
   model.reset_counters();
 
@@ -96,12 +111,13 @@ MultiKeyResult run_multikey(std::uint32_t group, std::uint32_t abort_ppm,
     for (std::uint32_t t = 0; t < kTxPerProc; ++t) {
       std::vector<std::uint64_t> keys;
       for (std::uint32_t k = 0; k < group; ++k) keys.push_back(zipf(rng));
-      const std::vector<std::uint32_t> order = table.plan(keys);
+      const std::vector<std::uint64_t> plan = table.plan_hashes(keys);
+      const std::uint64_t stripes = distinct_stripes(table, plan);
 
       signals[p].store(false, std::memory_order_release);
       wants[p].store(marked[p][t] ? 1 : 0, std::memory_order_release);
       const std::uint64_t r0 = counters.rmrs;
-      bool ok = table.enter_all(p, order, &signals[p]);
+      bool ok = table.enter_hashes(p, plan, &signals[p]);
       wants[p].store(0, std::memory_order_release);
       if (!ok) {
         mine.aborted_rmrs.push_back(counters.rmrs - r0);
@@ -109,19 +125,19 @@ MultiKeyResult run_multikey(std::uint32_t group, std::uint32_t abort_ppm,
         // Deadline passed: back off (nothing held), retry unsignalled.
         mine.retries++;
         const std::uint64_t r1 = counters.rmrs;
-        ok = table.enter_all(p, order, nullptr);
+        ok = table.enter_hashes(p, plan, nullptr);
         if (ok) {
-          table.exit_all(p, order);
+          table.exit_hashes(p, plan);
           mine.complete_rmrs.push_back(counters.rmrs - r1);
           mine.completed++;
-          mine.stripes_locked += order.size();
+          mine.stripes_locked += stripes;
         }
         continue;
       }
-      table.exit_all(p, order);
+      table.exit_hashes(p, plan);
       mine.complete_rmrs.push_back(counters.rmrs - r0);
       mine.completed++;
-      mine.stripes_locked += order.size();
+      mine.stripes_locked += stripes;
     }
   });
   model.set_hook(nullptr);

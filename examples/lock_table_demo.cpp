@@ -6,9 +6,9 @@
 // slow stripe cannot stall it, and sessions are opened per burst to show the
 // thread-id leasing that makes the table usable from pools. At the end the
 // demo self-checks conservation of the total balance and prints the
-// per-stripe observability rollup (the instrumented flavor gives each stripe
-// its own sink). Exits nonzero on any invariant violation, so it doubles as
-// an end-to-end integration test.
+// per-stripe contention counters plus the table-wide hand-off histogram
+// from the instrumented flavor's one sink. Exits nonzero on any invariant
+// violation, so it doubles as an end-to-end integration test.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -97,15 +97,20 @@ int main() {
               static_cast<long long>(total),
               static_cast<long long>(expected));
 
-  std::printf("\nper-stripe rollup (acquisitions / aborts / mean handoff):\n");
+  std::printf("\nper-stripe rollup (acquisitions / aborts / peak depth):\n");
   for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-    const auto totals = table.stripe_metrics(s).totals();
-    const auto handoff = table.stripe_metrics(s).handoff();
-    std::printf("  stripe %u: %8llu acq  %8llu abort  %8.1f ticks\n", s,
-                static_cast<unsigned long long>(totals.acquisitions),
-                static_cast<unsigned long long>(totals.aborts),
-                handoff.count != 0 ? handoff.mean : 0.0);
+    const auto stats = table.stripe_stats(s);
+    std::printf("  stripe %u: %8llu acq  %8llu abort  %4u deep\n", s,
+                static_cast<unsigned long long>(stats.acquisitions),
+                static_cast<unsigned long long>(stats.aborts),
+                stats.max_inflight);
   }
+  const auto handoff = table.metrics().handoff();
+  std::printf("table-wide handoff: %llu handoffs, mean %.1f ticks, "
+              "p50 <= %llu, p99 <= %llu\n",
+              static_cast<unsigned long long>(handoff.count), handoff.mean,
+              static_cast<unsigned long long>(handoff.p50),
+              static_cast<unsigned long long>(handoff.p99));
 
   bool ok = true;
   if (total != expected) {

@@ -55,7 +55,7 @@ int main() {
   SinglePassOptions stormy;
   stormy.seed = 2;
   stormy.plans = plan_first_k(n, 6, AbortWhen::kOnIdle);
-  aml::obs::Metrics metrics(n, /*ring_capacity=*/256);
+  aml::obs::Metrics metrics(n, /*stripes=*/1, /*ring_capacity=*/256);
   stormy.metrics = &metrics;
   show("one-shot lock, N=12, W=4 — slots 1..6 abort mid-wait",
        aml::harness::oneshot_cc_run(n, w, aml::core::Find::kAdaptive,

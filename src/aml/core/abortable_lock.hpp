@@ -79,7 +79,9 @@ class BasicAbortableLock {
 
   /// Bind an observability sink (no-op for the NullMetrics default). Call
   /// before the participating threads start.
-  void set_metrics(Metrics* sink) { lock_.set_metrics(sink); }
+  void set_metrics(Metrics* sink, std::uint32_t stripe = 0) {
+    lock_.set_metrics(sink, stripe);
+  }
 
   /// Acquire the lock. Returns false iff the attempt was abandoned because
   /// `signal` was raised while waiting. Starvation-free when no signal is
@@ -101,6 +103,11 @@ class BasicAbortableLock {
 
   /// Release the lock. Wait-free (bounded exit).
   void exit(std::uint32_t thread_id) { lock_.exit(thread_id); }
+
+  /// Index of the installed one-shot instance (testing aid).
+  std::uint32_t peek_installed(std::uint32_t thread_id) {
+    return lock_.peek_installed(thread_id);
+  }
 
  private:
   Model model_;

@@ -222,11 +222,14 @@ class LongLivedLock {
   LongLivedLock& operator=(const LongLivedLock&) = delete;
 
   /// Bind an observability sink to this lock, its spin-node pool, and every
-  /// one-shot instance (no-op for the NullMetrics default).
-  void set_metrics(Metrics* sink) {
-    obs_.bind(sink);
-    spin_pool_.set_metrics(sink);
-    for (auto& inst : instances_) inst->lock.set_metrics(sink);
+  /// one-shot instance, each instance under its own index, so events name
+  /// the stripe and instance they come from (no-op for NullMetrics).
+  void set_metrics(Metrics* sink, std::uint32_t stripe = 0) {
+    obs_.bind(sink, stripe);
+    spin_pool_.set_metrics(sink, stripe);
+    for (std::uint32_t i = 0; i < instances_.size(); ++i) {
+      instances_[i]->lock.set_metrics(sink, stripe, i);
+    }
   }
 
   /// Algorithm 6.1. `acquired` is true when the critical section was
@@ -339,13 +342,7 @@ class LongLivedLock {
 
  protected:
   // A durable journal's recovery front derives from the lock: it re-enters
-  // these steps as a proxy for a dead process, and binds per-instance sinks.
-
-  /// Rebind instance `idx` alone, for sinks that record which instance
-  /// emitted (ipc::RecoverySink); call after set_metrics.
-  void set_instance_metrics(std::uint32_t idx, Metrics* sink) {
-    instances_[idx]->lock.set_metrics(sink);
-  }
+  // these steps as a proxy for a dead process.
 
   /// Line 62 for `owner`: join the installed instance; returns the
   /// pre-image.
@@ -395,7 +392,7 @@ class LongLivedLock {
     if (journal_.install(mem_, exec, owner, *lock_desc_, expected, new_lock,
                          new_spn, seq)) {
       switches_.fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(monotonic introspection counter)
-      obs_.on_switch(exec);
+      obs_.on_switch(exec, new_lock);
       finish_switch(exec, owner, Journal::unpack(expected));
       return true;
     }

@@ -108,8 +108,12 @@ class OneShotLock {
   const Tree<Space>& tree() const { return tree_; }
   Tree<Space>& tree() { return tree_; }
 
-  /// Bind an observability sink (no-op for the NullMetrics default).
-  void set_metrics(Metrics* sink) { obs_.bind(sink); }
+  /// Bind an observability sink (no-op for the NullMetrics default); events
+  /// carry `stripe` and, inside a long-lived lock, this lock's `instance`.
+  void set_metrics(Metrics* sink, std::uint32_t stripe = 0,
+                   std::uint32_t instance = 0) {
+    obs_.bind(sink, stripe, instance);
+  }
 
   /// Algorithm 3.1. Blocks until the lock is acquired or the abort signal is
   /// observed while waiting. The returned slot is valid in both cases.
@@ -292,8 +296,12 @@ class OneShotLockDsm {
 
   std::uint32_t capacity() const { return n_; }
 
-  /// Bind an observability sink (no-op for the NullMetrics default).
-  void set_metrics(Metrics* sink) { obs_.bind(sink); }
+  /// Bind an observability sink (no-op for the NullMetrics default); events
+  /// carry `stripe` and, inside a long-lived lock, this lock's `instance`.
+  void set_metrics(Metrics* sink, std::uint32_t stripe = 0,
+                   std::uint32_t instance = 0) {
+    obs_.bind(sink, stripe, instance);
+  }
 
   EnterResult enter(Pid self, const std::atomic<bool>* abort_signal) {
     const std::uint64_t i = space_.faa(self, *tail_, 1);

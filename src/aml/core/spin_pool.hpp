@@ -83,7 +83,9 @@ class SpinNodePool {
   Node& node(std::uint32_t global_idx) { return nodes_[global_idx]; }
 
   /// Bind an observability sink (no-op for the NullMetrics default).
-  void set_metrics(Metrics* sink) { obs_.bind(sink); }
+  void set_metrics(Metrics* sink, std::uint32_t stripe = 0) {
+    obs_.bind(sink, stripe);
+  }
 
   /// Publish that `self` holds `global_idx` as its oldSpn. MUST be invoked
   /// before the Refcnt decrement that makes the node's retirement possible.

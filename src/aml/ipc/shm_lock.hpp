@@ -162,50 +162,56 @@ struct alignas(pal::kCacheLine) PassageSlot {
 // AML_SHM_REGION_END
 AML_SHM_PLACEABLE(PassageSlot);
 
-/// The per-instance metrics sink: journals doorway slot assignment and grant
+/// The stripe's metrics sink: journals doorway slot assignment and grant
 /// acknowledgment into the passage slots (that is the recovery journal), and
 /// forwards every hook to the segment-hosted obs::Metrics — which is how
 /// passages, recovered ones included (the recoverer drives the same hooks),
-/// survive the process. Each one-shot instance of a ShmStripe has its own
-/// sink, tagged with the instance index; instance 0's also serves the
-/// lock-level hooks (spin-node wait iterations and aborts).
+/// survive the process. It speaks the Metrics vocabulary: each lock's
+/// SinkHandle supplies the stripe and one-shot instance, so one sink serves
+/// the whole stripe.
 class RecoverySink {
  public:
   static constexpr bool kEnabled = true;
 
-  RecoverySink(PassageSlot* slots, std::uint32_t instance,
-               obs::Metrics& shm, std::uint32_t stripe)
-      : slots_(slots), instance_(instance), shm_(shm), stripe_(stripe) {}
+  RecoverySink(PassageSlot* slots, obs::Metrics& shm)
+      : slots_(slots), shm_(shm) {}
 
-  void on_enter(Pid p, std::uint32_t slot) {
-    slots_[p].attempt.store(pack_attempt(slot, instance_),
+  void on_enter(std::uint32_t stripe, Pid p, std::uint32_t slot,
+                std::uint32_t instance) {
+    slots_[p].attempt.store(pack_attempt(slot, instance),
                             std::memory_order_seq_cst);
-    shm_.on_enter(stripe_, p, slot, instance_);
+    shm_.on_enter(stripe, p, slot, instance);
   }
-  void on_granted(Pid p, std::uint32_t slot) {
+  void on_granted(std::uint32_t stripe, Pid p, std::uint32_t slot,
+                  std::uint32_t instance) {
     slots_[p].attempt.fetch_or(kAttemptGranted, std::memory_order_seq_cst);
-    shm_.on_granted(stripe_, p, slot, instance_);
+    shm_.on_granted(stripe, p, slot, instance);
   }
-  void on_abort(Pid p, std::uint32_t slot) {
-    shm_.on_abort(stripe_, p, slot, instance_);
+  void on_abort(std::uint32_t stripe, Pid p, std::uint32_t slot,
+                std::uint32_t instance) {
+    shm_.on_abort(stripe, p, slot, instance);
   }
-  void on_exit(Pid p, std::uint32_t slot) {
-    shm_.on_exit(stripe_, p, slot, instance_);
+  void on_exit(std::uint32_t stripe, Pid p, std::uint32_t slot,
+               std::uint32_t instance) {
+    shm_.on_exit(stripe, p, slot, instance);
   }
-  /// The switch event names the installed instance, which this sink does
-  /// not know: RecoverableJournal::install emits it.
-  void on_switch(Pid) {}
+  void on_switch(std::uint32_t stripe, Pid p, std::uint32_t installed) {
+    shm_.on_switch(stripe, p, installed);
+  }
   void on_spin_iteration(Pid p) { shm_.on_spin_iteration(p); }
   void on_findnext(Pid p) { shm_.on_findnext(p); }
   void on_spin_node_recycle(Pid p, std::uint64_t nodes) {
     shm_.on_spin_node_recycle(p, nodes);
   }
+  void on_recovery_arm(obs::EventKind kind, std::uint32_t stripe, Pid exec,
+                       Pid victim, std::uint32_t slot,
+                       std::uint32_t instance) {
+    shm_.on_recovery_arm(kind, stripe, exec, victim, slot, instance);
+  }
 
  private:
   PassageSlot* slots_;
-  std::uint32_t instance_;
   obs::Metrics& shm_;
-  std::uint32_t stripe_;
 };
 
 /// Spin-node pool with all of its state — go words, announce pins, and the
@@ -249,7 +255,7 @@ class ShmSpinNodePool {
 
   Node& node(std::uint32_t global_idx) { return nodes_[global_idx]; }
   /// The shm pool reports no recycles.
-  void set_metrics(RecoverySink*) {}
+  void set_metrics(RecoverySink*, std::uint32_t /*stripe*/) {}
   std::size_t total_nodes() const { return nodes_.size(); }
 
   /// Publish that `owner` holds `global_idx` as its oldSpn (see
@@ -513,7 +519,6 @@ class RecoverableJournal {
       return false;
     }
     bump_landed(owner, seq);
-    shm_->on_switch(stripe_, exec, lock);
     return true;
   }
   void switched(Pid owner) {
@@ -544,18 +549,6 @@ class RecoverableJournal {
       return true;
     }
     return slots_[victim].landed.load(std::memory_order_seq_cst) >= seq;
-  }
-
-  /// Bind the segment-hosted sink for the switch and recovery events
-  /// (ShmStripe does, before any passage).
-  void bind_shm(obs::Metrics& shm, std::uint32_t stripe) {
-    shm_ = &shm;
-    stripe_ = stripe;
-  }
-  /// One typed recovery event, victim pid in the payload.
-  void record_recovery(obs::EventKind kind, Pid exec, Pid victim,
-                       std::uint32_t slot, std::uint32_t instance) {
-    shm_->on_recovery_arm(kind, stripe_, exec, victim, slot, instance);
   }
 
  private:
@@ -622,8 +615,6 @@ class RecoverableJournal {
   bool creating_;
   Pid nprocs_;
   PassageSlot* slots_ = nullptr;    ///< shm, one per pid
-  obs::Metrics* shm_ = nullptr;  ///< segment-hosted sink (crash-surviving)
-  std::uint32_t stripe_ = 0;
 };
 
 /// What a recovery pass did with a victim's passage on one stripe.
@@ -659,17 +650,12 @@ class ShmStripe
   /// its ring.
   ShmStripe(ShmSpace& space, Config config, obs::Metrics& shm,
             std::uint32_t stripe_id)
-      : LongLivedLock(space, config), space_(space) {
+      : LongLivedLock(space, config),
+        space_(space),
+        sink_(&journal().slot(0), shm),
+        stripe_id_(stripe_id) {
     recovery_ = space_.alloc(1, 0);
-    journal().bind_shm(shm, stripe_id);
-    sinks_.reserve(config.nprocs + 1);
-    for (std::uint32_t i = 0; i <= config.nprocs; ++i) {
-      sinks_.emplace_back(&journal().slot(0), i, shm, stripe_id);
-    }
-    set_metrics(&sinks_[0]);
-    for (std::uint32_t i = 1; i < sinks_.size(); ++i) {
-      set_instance_metrics(i, &sinks_[i]);
-    }
+    set_metrics(&sink_, stripe_id);
   }
 
   ShmStripe(const ShmStripe&) = delete;
@@ -828,8 +814,8 @@ class ShmStripe
                             obs::kNoSlot, cur_inst);
         }
         journal().finish(victim);
-        journal().record_recovery(obs::EventKind::kFaCompensated, exec,
-                                  victim, obs::kNoSlot, cur_inst);
+        record_recovery(obs::EventKind::kFaCompensated, exec, victim,
+                        obs::kNoSlot, cur_inst);
         return RecoveryAction::kNone;
       }
       case kJoined:
@@ -844,8 +830,8 @@ class ShmStripe
           // run (the sink journals immediately after it). This is the one
           // window the journal still cannot attribute; the pid is retired
           // and waits for epoch reclamation.
-          journal().record_recovery(obs::EventKind::kZombieRetire, exec,
-                                    victim, obs::kNoSlot, cur_inst);
+          record_recovery(obs::EventKind::kZombieRetire, exec, victim,
+                          obs::kNoSlot, cur_inst);
           return RecoveryAction::kZombie;
         }
         const std::uint32_t slot = attempt_slot(att);
@@ -975,7 +961,7 @@ class ShmStripe
         return cleaned_up(action, kind, exec, victim, slot, cur_inst);
     }
     journal().finish(victim);
-    journal().record_recovery(kind, exec, victim, slot, cur_inst);
+    record_recovery(kind, exec, victim, slot, cur_inst);
     return action;
   }
 
@@ -989,7 +975,7 @@ class ShmStripe
     journal().mark(victim, kCleanup);
     cleanup(exec, victim);
     journal().finish(victim);
-    journal().record_recovery(kind, exec, victim, slot, instance);
+    record_recovery(kind, exec, victim, slot, instance);
     return action;
   }
 
@@ -1024,10 +1010,15 @@ class ShmStripe
     space_.write(exec, *recovery_, ((cur >> 32) + 1) << 32);
   }
 
+  /// One typed recovery event, victim pid in the payload.
+  void record_recovery(obs::EventKind kind, Pid exec, Pid victim,
+                       std::uint32_t slot, std::uint32_t instance) {
+    sink_.on_recovery_arm(kind, stripe_id_, exec, victim, slot, instance);
+  }
+
   ShmSpace& space_;
-  /// One per instance (sinks_[i] tags instance i); sinks_[0] also serves
-  /// the lock-level hooks.
-  std::vector<RecoverySink> sinks_;
+  RecoverySink sink_;
+  std::uint32_t stripe_id_;
   ShmSpace::Word* recovery_ = nullptr;  ///< per-stripe recovery seqlock
 };
 

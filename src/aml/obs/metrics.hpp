@@ -26,10 +26,15 @@
 //     included) reads them. Timestamps are CLOCK_MONOTONIC nanoseconds —
 //     comparable across processes on one host, which the sweep histogram
 //     and the Perfetto export (trace_export.hpp) need.
-//   * on the heap: Metrics(nprocs, ring_capacity) maps one zeroed,
-//     process-private block (ShmArena::anonymous) and places one stripe's
+//   * on the heap: Metrics(nprocs, stripes, ring_capacity) maps one zeroed,
+//     process-private block (ShmArena::anonymous) and places the same
 //     layout there. Timestamps are a logical event counter held in the
 //     block: deterministic under the step scheduler, and no clock read.
+//
+// Either way one sink serves a whole table. The hooks are addressed by
+// (stripe, pid, slot, instance); a lock names its stripe and one-shot
+// instance through the SinkHandle it binds (set_metrics(sink, stripe)), so
+// no lock needs a sink object of its own.
 //
 // Hot-path cost: a per-pid cell is written only by the holder of its pid
 // (a recovering survivor writes a dead victim's cell, and the registry's
@@ -52,9 +57,9 @@
 // A lock is instrumented by instantiating it with the Metrics sink type and
 // binding a sink instance:
 //
-//   aml::obs::Metrics metrics(nprocs, /*ring_capacity=*/4096);
+//   aml::obs::Metrics metrics(nprocs, /*stripes=*/1, /*ring_capacity=*/4096);
 //   aml::core::OneShotLock<Model, aml::obs::Metrics> lock(model, n, w);
-//   lock.set_metrics(&metrics);
+//   lock.set_metrics(&metrics);  // stripe 0
 //   ... run ...
 //   metrics.totals().acquisitions; metrics.ring_snapshot(); ...
 #pragma once
@@ -289,16 +294,15 @@ class Metrics {
   /// (re-entry, zombie reclamation) rather than one stripe.
   static constexpr std::uint32_t kNoStripe = 0xFFFFu;
 
-  /// Heap placement: one stripe's layout in a zeroed process-private
-  /// block, logical timestamps. `ring_capacity` 0 disables event recording
-  /// (counters and the hand-off histogram stay active).
-  explicit Metrics(Pid nprocs, std::size_t ring_capacity = 0)
+  /// Heap placement: the layout for `stripes` stripes in a zeroed
+  /// process-private block, logical timestamps. `ring_capacity` 0 disables
+  /// event recording (counters and the hand-off histogram stay active).
+  Metrics(Pid nprocs, std::uint32_t stripes, std::uint32_t ring_capacity)
       : heap_(ipc::ShmArena::anonymous(
-            footprint_bytes(nprocs, 1, static_cast<std::uint32_t>(
-                                           ring_capacity)))),
+            footprint_bytes(nprocs, stripes, ring_capacity))),
         nprocs_(nprocs),
-        stripes_(1),
-        ring_capacity_(static_cast<std::uint32_t>(ring_capacity)) {
+        stripes_(stripes),
+        ring_capacity_(ring_capacity) {
     place(*heap_);
   }
 
@@ -377,17 +381,11 @@ class Metrics {
     pending_handoff_[stripe].value.store(t, std::memory_order_release);
   }
 
-  void on_switch(std::uint32_t stripe, Pid p, std::uint32_t instance) {
+  /// `installed` is the one-shot instance the switch installed.
+  void on_switch(std::uint32_t stripe, Pid p, std::uint32_t installed) {
     bump(counters_[p].instance_switches);
-    emit(EventKind::kSwitch, stripe, p, Event::kNoPid, kNoSlot, instance);
+    emit(EventKind::kSwitch, stripe, p, Event::kNoPid, kNoSlot, installed);
   }
-
-  // The SinkHandle vocabulary: stripe 0, instance 0.
-  void on_enter(Pid p, std::uint32_t slot) { on_enter(0, p, slot, 0); }
-  void on_granted(Pid p, std::uint32_t slot) { on_granted(0, p, slot, 0); }
-  void on_abort(Pid p, std::uint32_t slot) { on_abort(0, p, slot, 0); }
-  void on_exit(Pid p, std::uint32_t slot) { on_exit(0, p, slot, 0); }
-  void on_switch(Pid p) { on_switch(0, p, 0); }
 
   // Counter-only hooks: too frequent for the ring.
   void on_spin_iteration(Pid p) { bump(counters_[p].spin_iterations); }
@@ -716,29 +714,35 @@ class Metrics {
 };
 
 /// What the lock templates actually hold: a bound-or-null pointer for an
-/// enabled sink, or an empty no-op shim for NullMetrics.
+/// enabled sink plus the (stripe, instance) address the lock emits under,
+/// or an empty no-op shim for NullMetrics.
 template <typename Sink>
 class SinkHandle {
  public:
   using sink_type = Sink;
 
-  void bind(Sink* sink) { sink_ = sink; }
+  void bind(Sink* sink, std::uint32_t stripe = 0,
+            std::uint32_t instance = 0) {
+    sink_ = sink;
+    stripe_ = stripe;
+    instance_ = instance;
+  }
   Sink* get() const { return sink_; }
 
   void on_enter(Pid p, std::uint32_t slot) {
-    if (sink_ != nullptr) sink_->on_enter(p, slot);
+    if (sink_ != nullptr) sink_->on_enter(stripe_, p, slot, instance_);
   }
   void on_granted(Pid p, std::uint32_t slot) {
-    if (sink_ != nullptr) sink_->on_granted(p, slot);
+    if (sink_ != nullptr) sink_->on_granted(stripe_, p, slot, instance_);
   }
   void on_abort(Pid p, std::uint32_t slot) {
-    if (sink_ != nullptr) sink_->on_abort(p, slot);
+    if (sink_ != nullptr) sink_->on_abort(stripe_, p, slot, instance_);
   }
   void on_exit(Pid p, std::uint32_t slot) {
-    if (sink_ != nullptr) sink_->on_exit(p, slot);
+    if (sink_ != nullptr) sink_->on_exit(stripe_, p, slot, instance_);
   }
-  void on_switch(Pid p) {
-    if (sink_ != nullptr) sink_->on_switch(p);
+  void on_switch(Pid p, std::uint32_t installed) {
+    if (sink_ != nullptr) sink_->on_switch(stripe_, p, installed);
   }
   void on_spin_iteration(Pid p) {
     if (sink_ != nullptr) sink_->on_spin_iteration(p);
@@ -752,6 +756,8 @@ class SinkHandle {
 
  private:
   Sink* sink_ = nullptr;
+  std::uint32_t stripe_ = 0;
+  std::uint32_t instance_ = 0;
 };
 
 /// Disabled specialization: empty, all hooks static no-ops. With
@@ -761,13 +767,13 @@ class SinkHandle<NullMetrics> {
  public:
   using sink_type = NullMetrics;
 
-  static void bind(NullMetrics*) {}
+  static void bind(NullMetrics*, std::uint32_t = 0, std::uint32_t = 0) {}
   static NullMetrics* get() { return nullptr; }
   static void on_enter(Pid, std::uint32_t) {}
   static void on_granted(Pid, std::uint32_t) {}
   static void on_abort(Pid, std::uint32_t) {}
   static void on_exit(Pid, std::uint32_t) {}
-  static void on_switch(Pid) {}
+  static void on_switch(Pid, std::uint32_t) {}
   static void on_spin_iteration(Pid) {}
   static void on_findnext(Pid) {}
   static void on_spin_node_recycle(Pid, std::uint64_t) {}

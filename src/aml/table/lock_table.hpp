@@ -63,7 +63,8 @@
 // benches. maybe_grow() turns them into an auto-grow policy: when any
 // current-generation stripe has seen `inflight_threshold` concurrent
 // attempts, double the stripe count (up to `max_stripes`). Full latency
-// histograms stay in the optional per-stripe obs::Metrics sinks.
+// histograms stay in the table's optional obs::Metrics sink, which every
+// generation's stripe s reports into under stripe address s.
 //
 // Stats are per generation: inflight/max_inflight start at zero in every new
 // generation, so a high-water mark earned *before* a grow can never re-fire
@@ -109,16 +110,13 @@
 // (ThreadRegistry leases them) and must not re-enter a stripe it already
 // holds (the underlying lock is not reentrant); enter_hashes deduplicates
 // colliding keys within one call, so only *nested* separate calls can
-// self-collide. The key-based layer (enter/exit, enter_hashes/exit_hashes)
-// is safe concurrent with resize(); the raw stripe-index layer
-// (enter_stripe/exit_stripe, plan/enter_all/exit_all) addresses the current
-// generation only and must not run concurrently with resize.
+// self-collide. Every operation (enter/exit, enter_hashes/exit_hashes) is
+// safe concurrent with resize().
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -165,10 +163,11 @@ struct HybridPolicy {
 };
 
 /// A stripe lock that is one of the two algorithms, chosen at construction.
-/// Presents the long-lived lock interface the table (and NamedLockTable's
-/// sink binding) expects; the amortized lock's bool protocol is adapted to
-/// EnterResult with slot 0, and its grant/abort metrics are forwarded at this
-/// layer since the baseline itself is metrics-free.
+/// Presents the long-lived lock interface the table expects; the amortized
+/// lock's bool protocol is adapted to EnterResult with slot 0, and its
+/// grant/abort metrics are forwarded at this layer since the baseline itself
+/// is metrics-free. `sink` (may be null) is bound under stripe address
+/// `stripe` before the lock is published.
 template <typename M, typename Metrics = obs::NullMetrics>
 class PolyStripeLock {
  public:
@@ -177,11 +176,15 @@ class PolyStripeLock {
   using AmortizedLock = baselines::JayantiAbortableLock<M>;
   using Config = typename PaperLock::Config;
 
-  PolyStripeLock(M& mem, Config config, StripeAlgo algo) : algo_(algo) {
+  PolyStripeLock(M& mem, Config config, StripeAlgo algo, Metrics* sink,
+                 std::uint32_t stripe)
+      : algo_(algo) {
     if (algo == StripeAlgo::kPaper) {
       paper_ = std::make_unique<PaperLock>(mem, config);
+      paper_->set_metrics(sink, stripe);
     } else {
       amortized_ = std::make_unique<AmortizedLock>(mem, config.nprocs);
+      sink_.bind(sink, stripe);
     }
   }
 
@@ -207,17 +210,6 @@ class PolyStripeLock {
     } else {
       sink_.on_exit(self, 0);
       amortized_->exit(self);
-    }
-  }
-
-  /// Same binding contract as LongLivedLock::set_metrics: set before the
-  /// instrumented processes start (construction or resize()'s
-  /// on_stripe_built hook), never concurrent with passages.
-  void set_metrics(Metrics* sink) {
-    if (paper_ != nullptr) {
-      paper_->set_metrics(sink);
-    } else {
-      sink_.bind(sink);
     }
   }
 
@@ -264,17 +256,20 @@ class LockTable {
     std::uint32_t max_stripes = 1024;      ///< never grow beyond this
   };
 
-  /// Invoked by resize() for each newly built stripe lock *before* the new
-  /// generation becomes visible — the race-free point to bind metrics sinks.
-  using StripeBuiltFn = std::function<void(std::uint32_t, StripeLock&)>;
-
-  LockTable(M& mem, Config config) : mem_(mem), config_(config) {
+  /// `metrics` (optional; ignored for NullMetrics) is the table's one sink:
+  /// stripe s of every generation reports into it under stripe address s,
+  /// bound before the generation is published. It must have a stripe cell
+  /// for every stripe the table will reach (resize() refuses to outgrow it).
+  LockTable(M& mem, Config config, Metrics* metrics = nullptr)
+      : mem_(mem), config_(config), metrics_(metrics) {
     AML_ASSERT(config.max_threads >= 1, "table needs at least one thread id");
     AML_ASSERT(config.stripes >= 1 && config.stripes <= kMaxStripes,
                "Config::stripes out of [1, kMaxStripes]");
+    AML_ASSERT(fits_sink(round_up_pow2(config.stripes)),
+               "metrics sink has fewer stripe cells than Config::stripes");
     locals_ = std::vector<pal::CachePadded<PidLocal>>(config.max_threads);
     gens_.push_back(make_generation(round_up_pow2(config.stripes), 0,
-                                    /*prev=*/nullptr, nullptr));
+                                    /*prev=*/nullptr));
     current_.store(gens_.back().get(),  // AML_V_EDGE(table.gen_publish)
                    std::memory_order_release);
   }
@@ -453,67 +448,16 @@ class LockTable {
     AML_ASSERT(false, "exit_hashes: key set is not held by this thread");
   }
 
-  // --- raw stripe-index layer (current generation; NOT resize-safe) --------
-
-  /// Map keys to their distinct current-generation stripes, sorted ascending
-  /// — the acquisition order enter_all uses. Exposed so callers can pre-plan
-  /// (and tests can assert the discipline). Indices are only meaningful
-  /// while no resize intervenes.
-  template <typename Key>
-  std::vector<std::uint32_t> plan(const std::vector<Key>& keys) const {
-    std::vector<std::uint32_t> order;
-    order.reserve(keys.size());
-    for (const Key& key : keys) order.push_back(stripe_of(key));
-    std::sort(order.begin(), order.end());
-    order.erase(std::unique(order.begin(), order.end()), order.end());
-    return order;
-  }
-
-  bool enter_stripe(Pid self, std::uint32_t s,
-                    const std::atomic<bool>* signal = nullptr) {
-    return acquire_gen_stripe(cur_mut(), self, s, signal);
-  }
-
-  void exit_stripe(Pid self, std::uint32_t s) { cur_mut().stripes[s]->exit(self); }
-
-  /// Acquire every stripe in `order` (ascending, distinct — what plan()
-  /// produces). All-or-nothing: if the signal aborts any acquisition, the
-  /// stripes already held are released in reverse order and the call returns
-  /// false. With a null signal it cannot deadlock against other enter_all
-  /// callers (total order) and blocks until all stripes are held.
-  bool enter_all(Pid self, const std::vector<std::uint32_t>& order,
-                 const std::atomic<bool>* signal = nullptr) {
-    AML_DASSERT(std::is_sorted(order.begin(), order.end()) &&
-                    std::adjacent_find(order.begin(), order.end()) ==
-                        order.end(),
-                "enter_all order must be sorted and distinct (use plan())");
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (!enter_stripe(self, order[i], signal)) {
-        while (i-- > 0) exit_stripe(self, order[i]);
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Release every stripe in `order` (reverse acquisition order).
-  void exit_all(Pid self, const std::vector<std::uint32_t>& order) {
-    for (std::size_t i = order.size(); i-- > 0;) {
-      exit_stripe(self, order[i]);
-    }
-  }
-
   // --- resizing ------------------------------------------------------------
 
   /// Grow the stripe array to round_up_pow2(new_stripes). Non-blocking and
   /// grow-only: returns false (and does nothing) when another resize is in
   /// flight, the previous generation is still draining, or the target is not
-  /// larger than the current count. On success the new generation is visible
-  /// to every subsequent acquisition; passages already running drain against
-  /// the old array (see header comment). `on_stripe_built` runs for each new
-  /// stripe before publication — bind per-stripe metrics sinks there.
-  bool resize(std::uint32_t new_stripes,
-              const StripeBuiltFn& on_stripe_built = nullptr) {
+  /// larger than the current count (or than the metrics sink's stripe
+  /// cells). On success the new generation is visible to every subsequent
+  /// acquisition; passages already running drain against the old array (see
+  /// header comment).
+  bool resize(std::uint32_t new_stripes) {
     AML_ASSERT(new_stripes >= 1 && new_stripes <= kMaxStripes,
                "resize target out of [1, kMaxStripes]");
     const std::uint32_t target = round_up_pow2(new_stripes);
@@ -523,14 +467,13 @@ class LockTable {
       return false;
     }
     Generation* old_gen = current_.load(std::memory_order_seq_cst);
-    if (target <= old_gen->mask + 1 ||
+    if (target <= old_gen->mask + 1 || !fits_sink(target) ||
         (old_gen->prev != nullptr &&
          !old_gen->prev->retired.load(std::memory_order_seq_cst))) {
       resizing_.store(false, std::memory_order_release);  // AML_V_EDGE(table.resize_guard)
       return false;
     }
-    gens_.push_back(make_generation(target, old_gen->epoch + 1, old_gen,
-                                    on_stripe_built));
+    gens_.push_back(make_generation(target, old_gen->epoch + 1, old_gen));
     Generation* next = gens_.back().get();
     // seq_cst required (Dekker with pin()'s increment-then-recheck), and
     // also the release side of the generation publication.
@@ -550,8 +493,7 @@ class LockTable {
   /// when any stripe's attempt-depth high-water mark reaches
   /// `policy.inflight_threshold`, double the stripe count (capped at
   /// `policy.max_stripes`). Returns true iff a resize happened.
-  bool maybe_grow(const GrowPolicy& policy,
-                  const StripeBuiltFn& on_stripe_built = nullptr) {
+  bool maybe_grow(const GrowPolicy& policy) {
     const Generation& g = cur();
     const std::uint32_t count = g.mask + 1;
     if (count * 2 > policy.max_stripes) return false;
@@ -561,7 +503,7 @@ class LockTable {
             policy.inflight_threshold;
     }
     if (!hot) return false;
-    return resize(count * 2, on_stripe_built);
+    return resize(count * 2);
   }
 
   // --- per-stripe observability --------------------------------------------
@@ -592,24 +534,6 @@ class LockTable {
           g.stats[s]->max_inflight.load(std::memory_order_relaxed));  // AML_RELAXED(stats high-water probe)
     }
     return peak;
-  }
-
-  /// Bind one sink per current-generation stripe (sinks[s] -> stripe s; the
-  /// vector may be shorter, remaining stripes stay unbound). With per-stripe
-  /// sinks, contention, abort, and hand-off statistics roll up per shard,
-  /// which is how a lock service spots a hot key range. No-op for
-  /// NullMetrics. NOT thread-safe: must not run concurrent with enter/exit
-  /// or resize on this table (bind at construction, or through resize()'s
-  /// on_stripe_built hook).
-  void set_stripe_metrics(const std::vector<Metrics*>& sinks) {
-    Generation& g = cur_mut();
-    for (std::size_t s = 0; s < sinks.size() && s <= g.mask; ++s) {
-      g.stripes[s]->set_metrics(sinks[s]);
-    }
-  }
-
-  void set_stripe_metrics(std::uint32_t s, Metrics* sink) {
-    cur_mut().stripes[s]->set_metrics(sink);
   }
 
   // --- analysis introspection ----------------------------------------------
@@ -739,9 +663,17 @@ class LockTable {
                                                        : StripeAlgo::kAmortized;
   }
 
+  /// True when the bound sink has a stripe cell for each of `nstripes`.
+  bool fits_sink(std::uint32_t nstripes) const {
+    if constexpr (Metrics::kEnabled) {
+      return metrics_ == nullptr || nstripes <= metrics_->stripes();
+    } else {
+      return true;
+    }
+  }
+
   std::unique_ptr<Generation> make_generation(
-      std::uint32_t nstripes, std::uint64_t epoch, Generation* prev,
-      const StripeBuiltFn& on_stripe_built) {
+      std::uint32_t nstripes, std::uint64_t epoch, Generation* prev) {
     auto gen = std::make_unique<Generation>();
     gen->mask = nstripes - 1;
     gen->epoch = epoch;
@@ -760,7 +692,7 @@ class LockTable {
           typename StripeLock::Config{.nprocs = config_.max_threads,
                                       .w = config_.tree_width,
                                       .find = config_.find},
-          choose_algo(s, prev)));
+          choose_algo(s, prev), metrics_, s));
       if (prev != nullptr) {
         // Rate history carries over (split evenly across the parent's
         // children); depth high-water marks deliberately do not — every
@@ -774,7 +706,6 @@ class LockTable {
         st.seed_attempts = (pst.seed_attempts + pacq + pab) / fanout;
         st.seed_aborts = (pst.seed_aborts + pab) / fanout;
       }
-      if (on_stripe_built) on_stripe_built(s, *gen->stripes.back());
     }
     return gen;
   }
@@ -858,49 +789,11 @@ class LockTable {
 
   M& mem_;
   Config config_;
+  Metrics* metrics_;
   std::vector<std::unique_ptr<Generation>> gens_;  ///< resize-serialized
   std::atomic<Generation*> current_{nullptr};
   std::atomic<bool> resizing_{false};
   std::vector<pal::CachePadded<PidLocal>> locals_;
-};
-
-/// RAII single-stripe guard over a LockTable's raw stripe layer. Check
-/// owns() after construction (false means the signal aborted the attempt).
-/// Move transfers ownership: the moved-from guard owns nothing and its
-/// destructor/release() are no-ops. Not resize-safe (raw layer).
-template <typename Table>
-class StripeGuard {
- public:
-  StripeGuard(Table& table, Pid self, std::uint32_t s,
-              const std::atomic<bool>* signal = nullptr)
-      : table_(&table), self_(self), stripe_(s),
-        owns_(table.enter_stripe(self, s, signal)) {}
-
-  StripeGuard(StripeGuard&& o) noexcept
-      : table_(std::exchange(o.table_, nullptr)), self_(o.self_),
-        stripe_(o.stripe_), owns_(std::exchange(o.owns_, false)) {}
-  StripeGuard& operator=(StripeGuard&&) = delete;
-  StripeGuard(const StripeGuard&) = delete;
-  StripeGuard& operator=(const StripeGuard&) = delete;
-
-  ~StripeGuard() { release(); }
-
-  bool owns() const { return owns_; }
-  explicit operator bool() const { return owns_; }
-  std::uint32_t stripe() const { return stripe_; }
-
-  void release() {
-    if (owns_) {
-      table_->exit_stripe(self_, stripe_);
-      owns_ = false;
-    }
-  }
-
- private:
-  Table* table_;
-  Pid self_;
-  std::uint32_t stripe_;
-  bool owns_;
 };
 
 }  // namespace aml::table

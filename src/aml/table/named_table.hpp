@@ -13,9 +13,11 @@
 //     releasing everything and retrying between slices — deadline-abort as
 //     the deadlock-avoidance primitive against callers that do not follow
 //     the stripe order;
-//   * per-stripe observability: with the obs::Metrics sink type each stripe
-//     gets its own sink, so contention / abort / hand-off stats roll up per
-//     shard and hot key ranges are visible;
+//   * observability: with the obs::Metrics sink type the table owns one
+//     sink, and every stripe reports into it under its own stripe address
+//     (hand-off words, recovery cells, ring events); per-stripe acquisition
+//     and abort totals come from the always-on stripe_stats(s), so hot key
+//     ranges are visible either way;
 //   * contention-adaptive striping: with `auto_grow` enabled the table
 //     samples its always-on StripeStats every `grow_check_interval`
 //     operations and doubles the stripe count when any stripe's concurrent
@@ -47,7 +49,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -88,21 +89,16 @@ class BasicNamedLockTable {
 
   explicit BasicNamedLockTable(TableConfig config = {})
       : config_(config), model_(config.max_threads),
-        table_(model_, {.max_threads = config.max_threads,
-                        .stripes = config.stripes,
-                        .tree_width = config.tree_width,
-                        .algo = config.algo,
-                        .hybrid = config.hybrid}),
+        metrics_(make_metrics(config)),
+        table_(model_,
+               {.max_threads = config.max_threads,
+                .stripes = config.stripes,
+                .tree_width = config.tree_width,
+                .algo = config.algo,
+                .hybrid = config.hybrid},
+               metrics_.get()),
         registry_(config.max_threads),
-        signals_(config.max_threads) {
-    if constexpr (Metrics::kEnabled) {
-      std::lock_guard<std::mutex> lk(sinks_mu_);
-      for (std::uint32_t s = 0; s < table_.stripe_count(); ++s) {
-        sinks_.push_back(std::make_unique<Metrics>(config.max_threads));
-        table_.set_stripe_metrics(s, sinks_.back().get());
-      }
-    }
-  }
+        signals_(config.max_threads) {}
 
   BasicNamedLockTable(const BasicNamedLockTable&) = delete;
   BasicNamedLockTable& operator=(const BasicNamedLockTable&) = delete;
@@ -147,15 +143,13 @@ class BasicNamedLockTable {
     return table_.stripe_algo(s);
   }
 
-  /// Per-stripe sink (enabled flavor only; see ObservedNamedLockTable).
-  /// Sinks are allocated per *stripe slot* and survive grows: after a
-  /// resize, stripe s of the new generation shares sink s with the old
-  /// generation's stripe s, so a shard's history stays in one sink.
-  Metrics& stripe_metrics(std::uint32_t s)
+  /// The table's one sink (enabled flavor only; see ObservedNamedLockTable).
+  /// It has a stripe cell for every stripe count the table can reach, so
+  /// stripe s of every generation reports under stripe address s.
+  Metrics& metrics()
     requires(Metrics::kEnabled)
   {
-    std::lock_guard<std::mutex> lk(sinks_mu_);
-    return *sinks_[s];
+    return *metrics_;
   }
 
   /// Run the grow policy now (auto_grow normally does this every
@@ -255,7 +249,7 @@ class BasicNamedLockTable {
           attempt_deadline = now + slice;
         }
         owner_->note_op();
-        if (owner_->timed_enter_all(id(), hashes, attempt_deadline)) {
+        if (owner_->timed_enter_hashes(id(), hashes, attempt_deadline)) {
           return MultiGuard(*owner_, id(), std::move(hashes));
         }
         if (Clock::now() >= deadline) return std::nullopt;
@@ -381,9 +375,9 @@ class BasicNamedLockTable {
   }
 
   /// One timed all-or-nothing attempt on a key set.
-  bool timed_enter_all(std::uint32_t pid,
-                       const std::vector<std::uint64_t>& hashes,
-                       Clock::time_point when) {
+  bool timed_enter_hashes(std::uint32_t pid,
+                          const std::vector<std::uint64_t>& hashes,
+                          Clock::time_point when) {
     AbortSignal& signal = signals_[pid];
     signal.reset();
     const TimerWheel::Token token = wheel_.arm(signal, when);
@@ -404,44 +398,40 @@ class BasicNamedLockTable {
   }
 
   bool grow_step() {
-    const typename Table::GrowPolicy policy{
-        .inflight_threshold = config_.grow_inflight_threshold,
-        .max_stripes = config_.max_stripes};
+    return table_.maybe_grow(
+        {.inflight_threshold = config_.grow_inflight_threshold,
+         .max_stripes = config_.max_stripes});
+  }
+
+  /// The enabled flavor's sink, sized for the largest stripe count the
+  /// table can reach: try_grow() grows even with auto_grow off.
+  static std::unique_ptr<Metrics> make_metrics(const TableConfig& config) {
     if constexpr (Metrics::kEnabled) {
-      // Bind sinks inside resize()'s pre-publication hook so an observed
-      // stripe is never visible without its sink. Sinks live in a deque
-      // (stable addresses) keyed by stripe slot: slot s's sink is shared by
-      // every generation's stripe s, preserving shard history across grows.
-      return table_.maybe_grow(
-          policy, [this](std::uint32_t s, typename Table::StripeLock& lock) {
-            std::lock_guard<std::mutex> lk(sinks_mu_);
-            while (sinks_.size() <= s) {
-              sinks_.push_back(
-                  std::make_unique<Metrics>(config_.max_threads));
-            }
-            lock.set_metrics(sinks_[s].get());
-          });
+      return std::make_unique<Metrics>(
+          config.max_threads,
+          round_up_pow2(std::min(std::max(config.stripes, config.max_stripes),
+                                 kMaxStripes)),
+          /*ring_capacity=*/0);
     } else {
-      return table_.maybe_grow(policy);
+      return nullptr;
     }
   }
 
   TableConfig config_;
   model::NativeModel model_;
+  std::unique_ptr<Metrics> metrics_;  ///< enabled flavor only
   Table table_;
   ThreadRegistry registry_;
   std::deque<AbortSignal> signals_;  ///< one per dense id; timed ops only
   TimerWheel wheel_;
-  std::atomic<std::uint64_t> ops_{0};        ///< auto-grow sampling counter
-  std::mutex sinks_mu_;                      ///< guards sinks_ growth
-  std::deque<std::unique_ptr<Metrics>> sinks_;  ///< enabled flavor only
+  std::atomic<std::uint64_t> ops_{0};  ///< auto-grow sampling counter
 };
 
 /// Production default: uninstrumented.
 using NamedLockTable = BasicNamedLockTable<>;
 
-/// Instrumented flavor: every stripe carries its own obs::Metrics sink,
-/// reachable via stripe_metrics(s).
+/// Instrumented flavor: one obs::Metrics sink for the whole table, reachable
+/// via metrics().
 using ObservedNamedLockTable = BasicNamedLockTable<obs::Metrics>;
 
 }  // namespace aml::table

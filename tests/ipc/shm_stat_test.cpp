@@ -94,7 +94,7 @@ TEST(ShmIpcStat, HeapAndSegmentPlacementsAgree) {
   ASSERT_NE(arena, nullptr) << error;
   obs::Metrics placed(*arena, kN, 1, kRing);
   EXPECT_LE(arena->cursor() - ShmArena::kDataBegin, footprint);
-  obs::Metrics heap(kN, kRing);
+  obs::Metrics heap(kN, 1, kRing);
   script_passages(placed);
   script_passages(heap);
 
@@ -171,6 +171,20 @@ TEST(ShmIpcStat, LifecycleEventsLandInTheSegmentRing) {
   EXPECT_EQ(totals.acquisitions, 1u);
   EXPECT_EQ(totals.aborts, 0u);
   EXPECT_EQ(shm.of(session->id()).acquisitions, 1u);
+
+  // The passage's Cleanup switched instances: the lock emits exactly one
+  // switch event per counted switch (none from the journal on top), and it
+  // names the instance now installed on the key's stripe.
+  std::uint64_t switch_events = 0;
+  for (const Event& e : events) {
+    if (e.kind != EventKind::kSwitch) continue;
+    ++switch_events;
+    EXPECT_EQ(e.instance,
+              table->stripe(e.stripe).peek_installed(session->id()));
+  }
+  EXPECT_GT(switch_events, 0u);
+  EXPECT_EQ(switch_events, totals.instance_switches);
+  EXPECT_EQ(totals.instance_switches, 1u);  // one uncontended passage
 }
 
 TEST(ShmIpcStat, RingWrapKeepsNewestAndCountsDropped) {

@@ -2,13 +2,15 @@
 // wraparound, stalled writers), histogram summaries, counters and hand-off
 // latency under the heap placement's logical clock, the zero-cost disabled
 // sink, and end-to-end sequential integration against the one-shot lock on
-// the counting CC model — including passage spans built from a heap ring.
+// the counting CC model — including passage spans built from a heap ring —
+// and against ObservedAbortableLock's instance switches.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 
+#include "aml/core/abortable_lock.hpp"
 #include "aml/core/oneshot.hpp"
 #include "aml/model/counting_cc.hpp"
 #include "aml/obs/metrics.hpp"
@@ -38,17 +40,17 @@ void push(Metrics& m, const Event& e) { m.publish(m.claim(), e); }
 // --- the event ring ---------------------------------------------------------
 
 TEST(EventRingTest, DisabledWhenCapacityZero) {
-  Metrics m(1);
+  Metrics m(1, 1, 0);
   push(m, ev(EventKind::kEnter, 0, 1, 10));
-  m.on_enter(0, 1);
-  m.on_granted(0, 1);
+  m.on_enter(0, 0, 1, 0);
+  m.on_granted(0, 0, 1, 0);
   EXPECT_EQ(m.ring_capacity(), 0u);
   EXPECT_EQ(m.ring_total(), 0u);
   EXPECT_TRUE(m.ring_snapshot().empty());
 }
 
 TEST(EventRingTest, RetainsInOrderBelowCapacity) {
-  Metrics m(8, 8);
+  Metrics m(8, 1, 8);
   for (std::uint64_t i = 0; i < 5; ++i) {
     push(m, ev(EventKind::kEnter, static_cast<model::Pid>(i),
                static_cast<std::uint32_t>(i), i + 1));
@@ -65,7 +67,7 @@ TEST(EventRingTest, RetainsInOrderBelowCapacity) {
 }
 
 TEST(EventRingTest, WraparoundKeepsNewestAndCountsDropped) {
-  Metrics m(1, 4);
+  Metrics m(1, 1, 4);
   for (std::uint64_t i = 0; i < 10; ++i) {
     push(m, ev(EventKind::kExit, 0, static_cast<std::uint32_t>(i), i + 1));
   }
@@ -84,7 +86,7 @@ TEST(EventRingTest, StalledWriterSlotSkippedNotTorn) {
   // slot and stalls before publishing; other writers wrap the ring past it.
   // ring_snapshot() must skip A's slot (odd tag, or stale generation)
   // instead of returning whatever half-written payload sits there.
-  Metrics m(10, 4);
+  Metrics m(10, 1, 4);
   const Metrics::Claim stalled = m.claim();  // seq 0, never published
   for (std::uint64_t i = 1; i <= 4; ++i) {
     // Seqs 1..4: seq 4 wraps onto the stalled slot's index (4 % 4 == 0)
@@ -113,7 +115,7 @@ TEST(EventRingTest, StalledWriterSlotSkippedNotTorn) {
 }
 
 TEST(EventRingTest, ClaimedButUnpublishedSlotInWindowIsSkipped) {
-  Metrics m(2, 8);
+  Metrics m(2, 1, 8);
   push(m, ev(EventKind::kEnter, 1, 1, 1));
   const Metrics::Claim stalled = m.claim();  // seq 1: odd tag, in window
   push(m, ev(EventKind::kGranted, 1, 1, 3));
@@ -163,7 +165,7 @@ TEST(HistogramTest, BucketGeometry) {
 }
 
 TEST(HistogramTest, EmptySnapshot) {
-  Metrics m(1);
+  Metrics m(1, 1, 0);
   const HistogramSnapshot s = m.handoff();
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.sum, 0u);
@@ -171,7 +173,7 @@ TEST(HistogramTest, EmptySnapshot) {
 }
 
 TEST(HistogramTest, SummaryStats) {
-  Metrics m(1);
+  Metrics m(1, 1, 0);
   for (std::uint64_t v : {1u, 2u, 3u, 100u}) m.record_sweep_ns(v);
   const HistogramSnapshot s = m.sweep_latency();
   EXPECT_EQ(s.count, 4u);
@@ -186,15 +188,15 @@ TEST(HistogramTest, SummaryStats) {
 // --- Metrics ----------------------------------------------------------------
 
 TEST(MetricsTest, CountersPerProcessAndTotals) {
-  Metrics m(3);
-  m.on_granted(0, 5);
-  m.on_granted(0, 6);
-  m.on_abort(1, 2);
+  Metrics m(3, 1, 0);
+  m.on_granted(0, 0, 5, 0);
+  m.on_granted(0, 0, 6, 0);
+  m.on_abort(0, 1, 2, 0);
   m.on_spin_iteration(2);
   m.on_spin_iteration(2);
   m.on_spin_iteration(2);
   m.on_findnext(0);
-  m.on_switch(1);
+  m.on_switch(0, 1, 0);
   m.on_spin_node_recycle(2, 4);
   EXPECT_EQ(m.of(0).acquisitions, 2u);
   EXPECT_EQ(m.of(1).aborts, 1u);
@@ -209,35 +211,35 @@ TEST(MetricsTest, CountersPerProcessAndTotals) {
 }
 
 TEST(MetricsTest, HandoffLatencyRecordedBetweenExitAndGrant) {
-  Metrics m(2);
-  m.on_granted(0, 0);  // tick 1, no pending hand-off
-  m.on_exit(0, 0);     // tick 2, arms hand-off
-  m.on_enter(1, 1);    // ring off: no tick
-  m.on_granted(1, 1);  // tick 3 -> latency 3 - 2 = 1
+  Metrics m(2, 1, 0);
+  m.on_granted(0, 0, 0, 0);  // tick 1, no pending hand-off
+  m.on_exit(0, 0, 0, 0);     // tick 2, arms hand-off
+  m.on_enter(0, 1, 1, 0);    // ring off: no tick
+  m.on_granted(0, 1, 1, 0);  // tick 3 -> latency 3 - 2 = 1
   const HistogramSnapshot s = m.handoff();
   ASSERT_EQ(s.count, 1u);
   EXPECT_EQ(s.sum, 1u);
 }
 
 TEST(MetricsTest, RingOffAdvancesClockOnlyForTheHandoffPair) {
-  Metrics m(2);
-  m.on_exit(0, 0);  // tick 1
+  Metrics m(2, 1, 0);
+  m.on_exit(0, 0, 0, 0);  // tick 1
   for (int i = 0; i < 5; ++i) {
-    m.on_enter(1, 1);
-    m.on_abort(1, 1);
-    m.on_switch(1);
+    m.on_enter(0, 1, 1, 0);
+    m.on_abort(0, 1, 1, 0);
+    m.on_switch(0, 1, 0);
   }
-  m.on_granted(1, 2);  // tick 2: the 15 ring-only hooks took no ticks
+  m.on_granted(0, 1, 2, 0);  // tick 2: the 15 ring-only hooks took no ticks
   EXPECT_EQ(m.handoff().sum, 1u);
   EXPECT_EQ(m.ring_total(), 0u);
 }
 
 TEST(MetricsTest, RingRecordsLifecycle) {
-  Metrics m(2, /*ring_capacity=*/16);
-  m.on_enter(0, 0);
-  m.on_granted(0, 0);
-  m.on_exit(0, 0);
-  m.on_switch(1);
+  Metrics m(2, 1, 16);
+  m.on_enter(0, 0, 0, 0);
+  m.on_granted(0, 0, 0, 0);
+  m.on_exit(0, 0, 0, 0);
+  m.on_switch(0, 1, 0);
   const auto events = m.ring_snapshot();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].kind, EventKind::kEnter);
@@ -260,11 +262,24 @@ TEST(SinkHandleTest, NullBoundHandleIsInert) {
 }
 
 TEST(SinkHandleTest, BoundHandleForwards) {
-  Metrics m(1);
+  Metrics m(2, 4, 8);
   SinkHandle<Metrics> h;
-  h.bind(&m);
+  h.bind(&m, /*stripe=*/3, /*instance=*/2);
   h.on_granted(0, 3);
   EXPECT_EQ(m.totals().acquisitions, 1u);
+  // The handle supplies the stripe and instance the sink records.
+  h.on_enter(1, 5);
+  h.on_switch(1, 7);
+  const auto events = m.ring_snapshot();
+  ASSERT_EQ(events.size(), 3u);  // granted, enter, switch
+  EXPECT_EQ(events[1].kind, EventKind::kEnter);
+  EXPECT_EQ(events[1].stripe, 3u);
+  EXPECT_EQ(events[1].instance, 2u);
+  EXPECT_EQ(events[1].slot, 5u);
+  // A switch names the instance it installed, not the handle's own.
+  EXPECT_EQ(events[2].kind, EventKind::kSwitch);
+  EXPECT_EQ(events[2].stripe, 3u);
+  EXPECT_EQ(events[2].instance, 7u);
 }
 
 // --- integration: instrumented one-shot lock on the counting model ----------
@@ -273,7 +288,7 @@ TEST(ObsIntegrationTest, OneShotSequentialLifecycle) {
   constexpr std::uint32_t kN = 4;
   model::CountingCcModel mdl(kN);
   core::OneShotLock<model::CountingCcModel, Metrics> lock(mdl, kN, 2);
-  Metrics metrics(kN, 64);
+  Metrics metrics(kN, 1, 64);
   lock.set_metrics(&metrics);
 
   std::deque<std::atomic<bool>> signals(kN);
@@ -307,7 +322,7 @@ TEST(ObsIntegrationTest, OneShotSequentialLifecycle) {
 TEST(ObsIntegrationTest, AbortIsCounted) {
   model::CountingCcModel mdl(2);
   core::OneShotLock<model::CountingCcModel, Metrics> lock(mdl, 2, 2);
-  Metrics metrics(2);
+  Metrics metrics(2, 1, 0);
   lock.set_metrics(&metrics);
 
   std::deque<std::atomic<bool>> signals(2);
@@ -321,13 +336,48 @@ TEST(ObsIntegrationTest, AbortIsCounted) {
   EXPECT_GT(metrics.of(1).spin_iterations, 0u);
 }
 
+TEST(ObsIntegrationTest, SwitchEventsNameTheInstalledInstance) {
+  // Every uncontended passage ends in an instance switch (its Cleanup finds
+  // Refcnt 1). The kSwitch event names the instance the switch installed:
+  // the one the next passage's doorway joins, and the lock's installed
+  // instance once the run ends. Instances alternate, so some are not 0.
+  ObservedAbortableLock lock({.max_threads = 2});
+  Metrics metrics(2, 1, 256);
+  lock.set_metrics(&metrics);
+  constexpr std::uint32_t kPassages = 6;
+  for (std::uint32_t i = 0; i < kPassages; ++i) {
+    lock.enter(i % 2);
+    lock.exit(i % 2);
+  }
+
+  const auto events = metrics.ring_snapshot();
+  std::uint64_t switches = 0;
+  bool named_nonzero = false;
+  std::uint32_t last_installed = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind != EventKind::kSwitch) continue;
+    ++switches;
+    last_installed = events[i].instance;
+    named_nonzero = named_nonzero || events[i].instance != 0;
+    for (std::size_t j = i + 1; j < events.size(); ++j) {
+      if (events[j].kind != EventKind::kEnter) continue;
+      EXPECT_EQ(events[j].instance, events[i].instance) << "event " << j;
+      break;
+    }
+  }
+  EXPECT_EQ(switches, kPassages);
+  EXPECT_EQ(metrics.totals().instance_switches, switches);
+  EXPECT_TRUE(named_nonzero);
+  EXPECT_EQ(last_installed, lock.peek_installed(0));
+}
+
 TEST(ObsIntegrationTest, PassageSpansFromHeapRing) {
   // The passage tracer reads a heap-placed ring exactly as it reads a
   // segment's: one span per attempt, granted ones with a CS, the aborted
   // one closed by its owner — in logical ticks, so the spans nest.
   model::CountingCcModel mdl(2);
   core::OneShotLock<model::CountingCcModel, Metrics> lock(mdl, 2, 2);
-  Metrics metrics(2, 64);
+  Metrics metrics(2, 1, 64);
   lock.set_metrics(&metrics);
 
   std::deque<std::atomic<bool>> signals(2);

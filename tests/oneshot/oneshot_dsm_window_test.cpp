@@ -33,7 +33,7 @@ TEST(OneShotDsmWindow, BothSidesOfThePublishCheckWindowOccur) {
   const ExploreStats stats = explore(cfg, [&](ExecutionContext& ctx) {
     CountingDsmModel m(2);
     core::OneShotLockDsm<CountingDsmModel, obs::Metrics> lock(m, 2, 2);
-    obs::Metrics metrics(2);
+    obs::Metrics metrics(2, 1, 0);
     lock.set_metrics(&metrics);
     std::atomic<int> in_cs{0};
     bool violation = false;

@@ -3,6 +3,7 @@
 // multi-key acquisition, abort-path release, and replay determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -37,14 +38,46 @@ TEST(LockTableModel, StripeMapIsStableAndInRange) {
 TEST(LockTableModel, PlanSortsAndDeduplicates) {
   CountingCcModel mem(2);
   CcTable table(mem, {.max_threads = 2, .stripes = 4});
-  // Enough keys that some certainly collide on 4 stripes.
+  // Every key twice, in descending order: the plan is the sorted distinct
+  // key hashes (fmix64 is a bijection, so 32 keys give 32 hashes).
   std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 0; k < 32; ++k) keys.push_back(k);
-  const std::vector<std::uint32_t> order = table.plan(keys);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
-  EXPECT_EQ(std::adjacent_find(order.begin(), order.end()), order.end());
-  EXPECT_LE(order.size(), 4u);
-  EXPECT_GE(order.size(), 1u);
+  for (std::uint64_t k = 32; k-- > 0;) {
+    keys.push_back(k);
+    keys.push_back(k);
+  }
+  const std::vector<std::uint64_t> plan = table.plan_hashes(keys);
+  EXPECT_TRUE(std::is_sorted(plan.begin(), plan.end()));
+  EXPECT_EQ(std::adjacent_find(plan.begin(), plan.end()), plan.end());
+  EXPECT_EQ(plan.size(), 32u);
+  EXPECT_EQ(table.plan_hashes(std::vector<std::uint64_t>{7, 7}),
+            std::vector<std::uint64_t>{CcTable::hash_of(7)});
+}
+
+/// The distinct stripes a hash plan covers, ascending.
+std::vector<std::uint32_t> stripes_of(const CcTable& table,
+                                      const std::vector<std::uint64_t>& plan) {
+  std::vector<std::uint32_t> out;
+  for (const std::uint64_t h : plan) {
+    out.push_back(static_cast<std::uint32_t>(h) & (table.stripe_count() - 1));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// One key per stripe, in stripe order.
+std::vector<std::uint64_t> key_per_stripe(const CcTable& table) {
+  std::vector<std::uint64_t> keys(table.stripe_count());
+  std::vector<bool> found(table.stripe_count(), false);
+  std::uint32_t left = table.stripe_count();
+  for (std::uint64_t k = 0; left != 0; ++k) {
+    const std::uint32_t s = table.stripe_of(k);
+    if (found[s]) continue;
+    found[s] = true;
+    keys[s] = k;
+    --left;
+  }
+  return keys;
 }
 
 // Zipfian keys, every process contending: per-stripe mutual exclusion holds
@@ -99,8 +132,9 @@ TEST(LockTableModel, EnterAllHoldsEveryStripe) {
     for (std::uint32_t r = 0; r < 8; ++r) {
       std::vector<std::uint64_t> keys{rng.below(64), rng.below(64),
                                       rng.below(64)};
-      const std::vector<std::uint32_t> order = table.plan(keys);
-      ASSERT_TRUE(table.enter_all(p, order));
+      const std::vector<std::uint64_t> plan = table.plan_hashes(keys);
+      const std::vector<std::uint32_t> order = stripes_of(table, plan);
+      ASSERT_TRUE(table.enter_hashes(p, plan));
       for (const std::uint32_t s : order) {
         if (in_cs[s].fetch_add(1, std::memory_order_acq_rel) != 0) {
           violation.store(true, std::memory_order_release);
@@ -109,14 +143,14 @@ TEST(LockTableModel, EnterAllHoldsEveryStripe) {
       for (const std::uint32_t s : order) {
         in_cs[s].fetch_sub(1, std::memory_order_acq_rel);
       }
-      table.exit_all(p, order);
+      table.exit_hashes(p, plan);
     }
   });
   mem.set_hook(nullptr);
   EXPECT_FALSE(violation.load());
 }
 
-// All-or-nothing: p1's enter_all crosses a stripe p0 holds; p1's abort
+// All-or-nothing: p1's enter_hashes crosses a stripe p0 holds; p1's abort
 // signal is raised while it waits, and every stripe p1 had already taken
 // must be released — p1 then re-acquires each singly (a leak would park p1
 // forever and the scheduler would abort on the liveness violation).
@@ -125,12 +159,11 @@ TEST(LockTableModel, EnterAllAbortReleasesPrefix) {
   CountingCcModel mem(kProcs);
   CcTable table(mem, {.max_threads = kProcs, .stripes = 8, .tree_width = 8});
 
-  // Find a key for p0 whose stripe sits strictly inside p1's plan, so p1
-  // acquires at least one stripe before blocking on p0's.
-  std::vector<std::uint32_t> all_stripes;
-  for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-    all_stripes.push_back(s);
-  }
+  // p1's plan covers every stripe; p0 holds a stripe strictly inside it, so
+  // p1 acquires at least one stripe before blocking on p0's.
+  const std::vector<std::uint64_t> keys = key_per_stripe(table);
+  const std::vector<std::uint64_t> all_stripes = table.plan_hashes(keys);
+  ASSERT_EQ(stripes_of(table, all_stripes).size(), table.stripe_count());
   const std::uint32_t blocked_stripe = 4;
   std::atomic<bool> p1_aborted{false};
 
@@ -162,20 +195,20 @@ TEST(LockTableModel, EnterAllAbortReleasesPrefix) {
   mem.set_hook(&scheduler);
   scheduler.run([&](Pid p) {
     if (p == 0) {
-      ASSERT_TRUE(table.enter_stripe(0, blocked_stripe));
+      ASSERT_TRUE(table.enter(0, keys[blocked_stripe]));
       mem.wait(
           0, *gate, [](std::uint64_t v) { return v != 0; }, nullptr);
-      table.exit_stripe(0, blocked_stripe);
+      table.exit(0, keys[blocked_stripe]);
     } else {
-      const bool ok = table.enter_all(1, all_stripes, &signals[1]);
+      const bool ok = table.enter_hashes(1, all_stripes, &signals[1]);
       EXPECT_FALSE(ok);
       p1_aborted.store(true, std::memory_order_release);
       // Every stripe below blocked_stripe was acquired and must have been
       // released; re-acquire each one singly. A leaked stripe deadlocks here
       // and the scheduler hard-aborts.
       for (std::uint32_t s = 0; s < blocked_stripe; ++s) {
-        ASSERT_TRUE(table.enter_stripe(1, s));
-        table.exit_stripe(1, s);
+        ASSERT_TRUE(table.enter(1, keys[s]));
+        table.exit(1, keys[s]);
       }
     }
   });

@@ -211,19 +211,16 @@ TEST(TableNativeStress, ZipfDeadlineStormWithSessionChurn) {
   // The storm must have produced both outcomes, or it tested nothing.
   EXPECT_GT(granted.load(), 0u);
   EXPECT_GT(timed_out.load(), 0u);
-  // Per-stripe sinks saw the traffic: every single-key grant is one stripe
+  // The table's sink saw the traffic: every single-key grant is one stripe
   // acquisition, and each transaction adds one per stripe it held, so the
-  // rollup is bounded below by the grants and above by grants + 3 per tx
+  // total is bounded below by the grants and above by grants + 3 per tx
   // (plus released-and-retried slices, which also acquire).
-  std::uint64_t sink_acquisitions = 0;
-  for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-    sink_acquisitions += table.stripe_metrics(s).totals().acquisitions;
-  }
-  EXPECT_GE(sink_acquisitions, granted.load() + tx_done.load());
+  EXPECT_GE(table.metrics().totals().acquisitions,
+            granted.load() + tx_done.load());
 }
 
-// Per-stripe sink counters are read while sessions run — a dashboard
-// polling stripe_metrics(s).totals() mid-traffic. Each per-pid cell has one
+// The sink's counters are read while sessions run — a dashboard polling
+// metrics().totals() mid-traffic. Each per-pid cell has one
 // writer and any number of readers, so the reads must be race-free (TSan
 // runs this suite) and every reader must see each counter only grow.
 TEST(TableNative, StripeTotalsReadWhileSessionsRun) {
@@ -238,10 +235,7 @@ TEST(TableNative, StripeTotalsReadWhileSessionsRun) {
     if (t == kWorkers) {
       std::uint64_t last = 0;
       while (done.load(std::memory_order_acquire) < kWorkers) {
-        std::uint64_t sum = 0;
-        for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-          sum += table.stripe_metrics(s).totals().acquisitions;
-        }
+        const std::uint64_t sum = table.metrics().totals().acquisitions;
         if (sum < last) went_backwards.store(true);
         last = sum;
         ++polls;
@@ -257,44 +251,64 @@ TEST(TableNative, StripeTotalsReadWhileSessionsRun) {
 
   EXPECT_FALSE(went_backwards.load());
   EXPECT_GT(polls, 0u);
-  std::uint64_t total = 0;
+  EXPECT_EQ(table.metrics().totals().acquisitions, kWorkers * kPassages);
+  // The always-on per-stripe counters agree with the sink.
+  std::uint64_t per_stripe = 0;
   for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-    total += table.stripe_metrics(s).totals().acquisitions;
+    per_stripe += table.stripe_stats(s).acquisitions;
   }
-  EXPECT_EQ(total, kWorkers * kPassages);
+  EXPECT_EQ(per_stripe, kWorkers * kPassages);
 }
 
-// StripeGuard move semantics: ownership transfers exactly once — the
-// moved-from guard must not double-exit (a double exit corrupts the
-// underlying lock's hand-off state and AML_DASSERTs in debug builds).
-TEST(TableNative, StripeGuardMoveTransfersOwnership) {
-  model::NativeModel mem(2);
-  LockTable<model::NativeModel> table(
-      mem, {.max_threads = 2, .stripes = 4, .tree_width = 8});
+// Guard move semantics: ownership transfers exactly once — the moved-from
+// guard must not double-exit (a double exit corrupts the underlying lock's
+// hand-off state and AML_DASSERTs in debug builds).
+TEST(TableNative, GuardMoveTransfersOwnership) {
+  NamedLockTable table({.max_threads = 2, .stripes = 4, .tree_width = 8});
+  auto a = table.open_session();
+  auto b = table.open_session();
 
   {
-    StripeGuard<LockTable<model::NativeModel>> g(table, 0, 1);
-    ASSERT_TRUE(g.owns());
-    StripeGuard<LockTable<model::NativeModel>> moved(std::move(g));
-    EXPECT_TRUE(moved.owns());
-    EXPECT_FALSE(g.owns());  // NOLINT(bugprone-use-after-move): spec'd state
-    g.release();             // no-op on the husk, must not touch the stripe
-    EXPECT_EQ(moved.stripe(), 1u);
+    auto g = a.acquire(std::uint64_t{1});
+    auto moved(std::move(g));
+    g.release();  // NOLINT(bugprone-use-after-move): no-op on the husk
+    EXPECT_EQ(moved.key_hash(), NamedLockTable::Table::hash_of(1));
   }  // both destructors run; only `moved` exits the stripe
 
-  // The stripe is free again (a double exit would have tripped the lock's
-  // hand-off bookkeeping; re-acquiring proves single release).
-  StripeGuard<LockTable<model::NativeModel>> again(table, 1, 1);
-  EXPECT_TRUE(again.owns());
+  // The key is free again (a double exit would have tripped the lock's
+  // hand-off bookkeeping; re-acquiring from the other session proves a
+  // single release).
+  EXPECT_TRUE(b.try_acquire_for(std::uint64_t{1}, 1s).has_value());
 
-  // An aborted guard never owns and its destructor must not exit either.
-  StripeGuard<LockTable<model::NativeModel>> holder(table, 0, 2);
-  std::atomic<bool> raised{true};
-  {
-    StripeGuard<LockTable<model::NativeModel>> loser(table, 1, 2, &raised);
-    EXPECT_FALSE(loser.owns());
-  }
+  // An aborted attempt never owns, so nothing is released for it.
+  auto holder = a.acquire(std::uint64_t{2});
+  AbortSignal raised;
+  raised.raise();
+  EXPECT_FALSE(b.try_acquire(std::uint64_t{2}, raised).has_value());
   holder.release();
+  EXPECT_TRUE(b.try_acquire_for(std::uint64_t{2}, 1s).has_value());
+}
+
+// One sink for every generation: a grown generation's stripe s reports into
+// the table's sink under stripe address s, and resize refuses a stripe count
+// the sink has no cells for.
+TEST(TableNative, GrownStripesReportIntoTheOneSink) {
+  model::NativeModel mem(2);
+  obs::Metrics sink(2, /*stripes=*/4, /*ring_capacity=*/64);
+  LockTable<model::NativeModel, obs::Metrics> table(
+      mem, {.max_threads = 2, .stripes = 2, .tree_width = 8}, &sink);
+  ASSERT_TRUE(table.resize(4));
+  EXPECT_FALSE(table.resize(8));  // beyond the sink's 4 stripe cells
+  ASSERT_EQ(table.stripe_count(), 4u);
+
+  std::uint64_t key = 0;
+  while (table.stripe_of(key) != 3) ++key;
+  ASSERT_TRUE(table.enter(0, key));
+  table.exit(0, key);
+  EXPECT_EQ(sink.totals().acquisitions, 1u);
+  const std::vector<obs::Event> events = sink.ring_snapshot();
+  ASSERT_FALSE(events.empty());
+  for (const obs::Event& e : events) EXPECT_EQ(e.stripe, 3u);
 }
 
 // Grow end to end on hardware: manufactured contention trips the policy
@@ -444,8 +458,16 @@ TEST(TableNativeStress, AutoGrowZipfKeepsPerKeyExclusion) {
   EXPECT_FALSE(violation.load()) << "two holders on one key";
   EXPECT_FALSE(table.draining()) << "old generation leaked pins";
   EXPECT_EQ(granted.load(), std::uint64_t{kThreads} * kRounds);
+  // One sink serves every generation, and it counts each grant at least
+  // once (bridged grants count one per stripe held).
+  EXPECT_GE(table.metrics().stripes(), table.stripe_count());
+  EXPECT_GE(table.metrics().totals().acquisitions, granted.load());
   // Hot traffic on 2 stripes with threshold 2 trips the policy in practice;
   // record rather than require (the scheduler could in principle serialize).
+  // Once grown, hand-offs land in stripe cells beyond the first two too.
+  if (table.stripe_count() > 2) {
+    EXPECT_GT(table.metrics().handoff().count, 0u);
+  }
   RecordProperty("final_epoch", static_cast<int>(table.epoch()));
   RecordProperty("final_stripes", static_cast<int>(table.stripe_count()));
 }
