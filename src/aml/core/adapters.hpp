@@ -18,13 +18,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "aml/core/abortable_lock.hpp"
 #include "aml/pal/backoff.hpp"
+#include "aml/pal/cache.hpp"
 #include "aml/pal/config.hpp"
 #include "aml/table/thread_registry.hpp"
 
@@ -176,7 +177,7 @@ class TimedAbortableLock {
   }
 
   bool try_enter_until(std::uint32_t tid, TimerWheel::Clock::time_point when) {
-    AbortSignal& signal = signals_[tid];
+    AbortSignal& signal = *signals_[tid];
     signal.reset();
     const TimerWheel::Token token = wheel_.arm(signal, when);
     const bool ok = lock_.enter(tid, signal);
@@ -189,7 +190,9 @@ class TimedAbortableLock {
 
  private:
   AbortableLock lock_;
-  std::deque<AbortSignal> signals_;
+  /// Padded: each waiter spins on its own flag while other attempts reset
+  /// theirs.
+  std::vector<pal::CachePadded<AbortSignal>> signals_;
   TimerWheel wheel_;
 };
 

@@ -30,7 +30,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory_resource>
+#include <new>
 #include <vector>
 
 #include "aml/model/ordered.hpp"
@@ -57,8 +58,7 @@ class VersionedSpace {
       : mem_(mem),
         nprocs_(nprocs),
         version_mask_((w >= 64 ? ~std::uint64_t{0} : pal::empty_word(w)) >> 1),
-        sessions_(nprocs),
-        locals_(nprocs) {
+        procs_(nprocs) {
     AML_ASSERT(w >= 2 && w <= 64, "W must be in [2, 64]");
     version_word_ = mem_.alloc(1, 0);
   }
@@ -68,11 +68,12 @@ class VersionedSpace {
 
   /// Allocate `n` logical words with initial value `init`. Only valid before
   /// the instance becomes shared (construction time). The returned handles
-  /// are contiguous (each alloc gets its own handle block).
+  /// are contiguous and stable: each alloc carves its own handle block from
+  /// the space's handle arena.
   Word* alloc(std::size_t n, std::uint64_t init) {
     const std::size_t base = records_.size();
-    // Allocate the three backing words of each record as one contiguous
-    // triple to keep the model's block count low.
+    // The three backing words of each record are allocated back to back,
+    // so a bump-allocating model keeps them adjacent.
     for (std::size_t i = 0; i < n; ++i) {
       Record rec;
       rec.vw = mem_.alloc(1, 0);  // version 0, incarnation 0
@@ -81,13 +82,13 @@ class VersionedSpace {
       rec.init = init;
       records_.push_back(rec);
     }
-    handle_blocks_.emplace_back();
-    std::vector<Word>& block = handle_blocks_.back();
-    block.reserve(n);
+    Word* block =
+        static_cast<Word*>(handles_.allocate(n * sizeof(Word), alignof(Word)));
     for (std::size_t i = 0; i < n; ++i) {
-      block.push_back(Word{static_cast<std::uint32_t>(base + i)});
+      ::new (static_cast<void*>(block + i))
+          Word{static_cast<std::uint32_t>(base + i)};
     }
-    return block.data();
+    return block;
   }
 
   /// DSM vocabulary passthrough (recycled instances are CC-only in the
@@ -102,8 +103,9 @@ class VersionedSpace {
   /// after its F&A on LockDesc made the instance's use safe (Claim 24) and
   /// before any other access. Costs O(1) RMRs.
   void begin_session(Pid self) {
-    sessions_[self]->current = mem_.read(self, *version_word_);
-    sessions_[self]->epoch++;
+    ProcState& me = *procs_[self];
+    me.current = mem_.read(self, *version_word_);
+    me.epoch++;
   }
 
   /// Recycler-only: advance to the next incarnation. The caller must have
@@ -192,28 +194,30 @@ class VersionedSpace {
     std::uint64_t init = 0;
   };
 
-  struct Session {
-    std::uint64_t current = 0;  ///< instance version read at session start
-    std::uint64_t epoch = 0;    ///< bumped per begin_session
-  };
-
   struct LocalEntry {
     std::uint64_t epoch = 0;  ///< session epoch this resolution belongs to
     std::uint8_t inc = 0;
+  };
+
+  /// Everything one process keeps about its session, on one padded line:
+  /// resolve() reads the session and the resolution cache on every access.
+  struct ProcState {
+    std::uint64_t current = 0;  ///< instance version read at session start
+    std::uint64_t epoch = 0;    ///< bumped per begin_session
+    std::vector<LocalEntry> local;  ///< per-word resolution cache
   };
 
   /// Resolve the live incarnation of `w` for this process' session,
   /// performing the lazy reset protocol on first access.
   typename M::Word& resolve(Pid self, Word w) {
     Record& rec = records_[w.idx];
-    auto& local = *locals_[self];
-    if (local.size() < records_.size()) local.resize(records_.size());
-    LocalEntry& entry = local[w.idx];
-    const Session& session = *sessions_[self];
-    if (entry.epoch == session.epoch) {
+    ProcState& me = *procs_[self];
+    if (me.local.size() < records_.size()) me.local.resize(records_.size());
+    LocalEntry& entry = me.local[w.idx];
+    if (entry.epoch == me.epoch) {
       return *rec.inc[entry.inc];  // already resolved this session
     }
-    const std::uint64_t v = session.current;
+    const std::uint64_t v = me.current;
     std::uint64_t raw = mem_.read(self, *rec.vw);
     std::uint64_t vw = raw >> 1;
     std::uint32_t b = static_cast<std::uint32_t>(raw & 1);
@@ -231,7 +235,7 @@ class VersionedSpace {
         b = static_cast<std::uint32_t>(raw & 1);
       }
     }
-    entry.epoch = session.epoch;
+    entry.epoch = me.epoch;
     entry.inc = static_cast<std::uint8_t>(b);
     return *rec.inc[b];
   }
@@ -240,12 +244,11 @@ class VersionedSpace {
   Pid nprocs_;
   std::uint64_t version_mask_;  ///< versions live in W-1 bits
   typename M::Word* version_word_ = nullptr;
-  std::deque<Record> records_;
-  std::deque<std::vector<Word>> handle_blocks_;  // stable, contiguous
+  std::vector<Record> records_;  ///< grows only before the instance is shared
+  std::pmr::monotonic_buffer_resource handles_;  ///< every alloc's handles
   std::uint64_t cursor_ = 0;        ///< recycler-only eager-reset cursor
   std::uint64_t incarnations_ = 0;  ///< recycler-only
-  std::vector<pal::CachePadded<Session>> sessions_;
-  std::vector<pal::CachePadded<std::vector<LocalEntry>>> locals_;
+  std::vector<pal::CachePadded<ProcState>> procs_;
 };
 
 }  // namespace aml::core

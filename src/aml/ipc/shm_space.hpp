@@ -1,10 +1,10 @@
-// ShmSpace: the shared-memory word space. It is model::NativeModel's word
-// and operation vocabulary — cacheline-padded atomic<uint64_t> words,
-// seq_cst base operations, the acquire/release carriers, Backoff
-// busy-waits — with allocation out of a ShmArena instead of the heap, so
-// every core lock template (OneShotLock, LongLivedLock, VersionedSpace)
-// instantiates over it unchanged and its words are visible to every process
-// mapping the segment.
+// ShmSpace: the shared-memory word space. It shares model::NativeModel's
+// word and operation vocabulary (model::NativeOps: cacheline-padded
+// atomic<uint64_t> words, seq_cst base operations, the acquire/release
+// carriers, Backoff busy-waits) but allocates out of a ShmArena instead of
+// the model's heap arena, so every core lock template (OneShotLock,
+// LongLivedLock, VersionedSpace) instantiates over it unchanged and its
+// words are visible to every process mapping the segment.
 //
 // Allocation follows the arena's deterministic-replay discipline: the
 // creator's alloc() stores the initial values; an attacher issuing the same
@@ -28,27 +28,14 @@
 
 namespace aml::ipc {
 
-class ShmSpace : private model::NativeModel {
+class ShmSpace : public model::NativeOps<true> {
  public:
   /// One shared word, padded so the per-slot spin words do not false-share
   /// across processes either.
-  using Word = model::NativeModel::Word;
+  using Word = model::NativeWord;
 
   ShmSpace(ShmArena& arena, model::Pid nprocs)
-      : model::NativeModel(nprocs), arena_(arena) {}
-
-  using model::NativeModel::cas;
-  using model::NativeModel::faa;
-  using model::NativeModel::nprocs;
-  using model::NativeModel::read;
-  using model::NativeModel::read_acq;
-  using model::NativeModel::read_rlx;
-  using model::NativeModel::swap;
-  using model::NativeModel::wait;
-  using model::NativeModel::wait_either;
-  using model::NativeModel::write;
-  using model::NativeModel::write_rel;
-  using model::NativeModel::write_rlx;
+      : model::NativeOps<true>(nprocs), arena_(arena) {}
 
   /// Allocate `n` contiguous words initialized to `init`. Creator-only
   /// stores: the attacher replays the allocation for its cursor and handle

@@ -36,7 +36,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -54,6 +53,7 @@
 #include "aml/ipc/shm_lock.hpp"
 #include "aml/ipc/shm_space.hpp"
 #include "aml/obs/metrics.hpp"
+#include "aml/pal/cache.hpp"
 #include "aml/pal/config.hpp"
 #include "aml/table/hash.hpp"
 
@@ -254,7 +254,7 @@ class ShmNamedLockTable {
     std::uint64_t token = 0;
     const Pid id = registry_.try_lease(&token);
     if (id >= config_.nprocs) return std::nullopt;
-    signals_[id].reset();
+    signals_[id]->reset();
     return Session(*this, id, token);
   }
 
@@ -369,7 +369,7 @@ class ShmNamedLockTable {
       return std::nullopt;
     }
     const std::uint64_t token = registry_.repossess(id);
-    signals_[id].reset();
+    signals_[id]->reset();
     stats_.reentries++;
     shm_metrics_.on_reentry(id);
     return Session(*this, id, token);
@@ -408,7 +408,7 @@ class ShmNamedLockTable {
   /// dead-session deadline-cancellation test pairs this with
   /// registry().debug_set_os_pid + recover_dead).
   TimerWheel::Token debug_arm(Pid id, Clock::time_point when) {
-    const TimerWheel::Token token = wheel_.arm(signals_[id], when);
+    const TimerWheel::Token token = wheel_.arm(*signals_[id], when);
     std::lock_guard<std::mutex> lk(armed_mu_);
     armed_[id].push_back(token);
     return token;
@@ -633,7 +633,7 @@ class ShmNamedLockTable {
   }
 
   bool timed_enter(Pid pid, std::uint32_t s, Clock::time_point when) {
-    AbortSignal& signal = signals_[pid];
+    AbortSignal& signal = *signals_[pid];
     signal.reset();
     TimerWheel::Token token;
     {
@@ -692,7 +692,7 @@ class ShmNamedLockTable {
       stats_.cancelled_deadlines++;
     }
     tokens.clear();
-    signals_[victim].reset();
+    signals_[victim]->reset();
   }
 
   ShmTableConfig config_;
@@ -702,7 +702,9 @@ class ShmNamedLockTable {
   ProcessRegistry registry_;
   obs::Metrics shm_metrics_;  ///< segment-hosted, crash-surviving sink
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::deque<AbortSignal> signals_;  ///< one per dense pid; timed ops only
+  /// One per dense pid; timed ops only. Padded: each waiter spins on its
+  /// own flag while other attempts reset theirs.
+  std::vector<pal::CachePadded<AbortSignal>> signals_;
   TimerWheel wheel_;
   std::mutex armed_mu_;  ///< guards armed_ (token tracking for recovery)
   std::vector<std::vector<TimerWheel::Token>> armed_;

@@ -18,15 +18,19 @@
 // runs both and gates the relaxed path against the seq_cst twin, so the
 // relaxation's value stays measured, not assumed.
 //
+// The vocabulary lives in NativeOps, which ipc::ShmSpace shares; the model
+// adds allocation, bump-allocating every word from one monotonic arena.
+//
 // This model performs no accounting; instantiating the lock templates with
 // it yields the deployable library (aml::AbortableLock).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory_resource>
 #include <mutex>
-#include <vector>
+#include <new>
+#include <type_traits>
 
 #include "aml/pal/backoff.hpp"
 #include "aml/pal/cache.hpp"
@@ -35,48 +39,34 @@
 
 namespace aml::model {
 
+/// One shared native word. Padded to a cache line so that the per-slot spin
+/// words of the queue lock do not false-share, which the CC cost model
+/// assumes.
+struct alignas(pal::kCacheLine) NativeWord {
+  std::atomic<std::uint64_t> v{0};
+};
+static_assert(std::is_trivially_destructible_v<NativeWord>,
+              "the arena releases words without destroying them");
+
+/// The native operation vocabulary over NativeWords, independent of where
+/// the words live: BasicNativeModel allocates them from a heap arena,
+/// ipc::ShmSpace from a shared segment.
+///
 /// `Relaxed` selects the memory-ordering regime of the ordered vocabulary:
 /// true (the production default) lowers read_acq/write_rel/wait to real
 /// acquire/release hardware orders; false lowers everything to seq_cst,
 /// reproducing the conservative pre-relaxation model for A/B measurement.
 template <bool Relaxed>
-class BasicNativeModel {
+class NativeOps {
  public:
-  /// One shared word. Padded to a cache line so that the per-slot spin words
-  /// of the queue lock do not false-share, which the CC cost model assumes.
-  struct alignas(pal::kCacheLine) Word {
-    std::atomic<std::uint64_t> v{0};
-  };
+  using Word = NativeWord;
 
-  explicit BasicNativeModel(Pid nprocs = 1) : nprocs_(nprocs) {}
+  explicit NativeOps(Pid nprocs) : nprocs_(nprocs) {}
 
-  BasicNativeModel(const BasicNativeModel&) = delete;
-  BasicNativeModel& operator=(const BasicNativeModel&) = delete;
+  NativeOps(const NativeOps&) = delete;
+  NativeOps& operator=(const NativeOps&) = delete;
 
   Pid nprocs() const { return nprocs_; }
-
-  /// Allocate `n` *contiguous* words initialized to `init`. Each request is
-  /// its own block, so addresses are stable for the model's lifetime and
-  /// w[0..n) is valid pointer arithmetic.
-  Word* alloc(std::size_t n, std::uint64_t init = 0) {
-    std::lock_guard<std::mutex> guard(alloc_mu_);
-    blocks_.emplace_back(n);
-    std::vector<Word>& block = blocks_.back();
-    for (std::size_t i = 0; i < n; ++i) {
-      // Pre-publication: the block escapes only through the caller's own
-      // pointer; sharing it with other processes is the caller's edge.
-      block[i].v.store(init, std::memory_order_relaxed);  // AML_RELAXED(init before the block is shared)
-    }
-    total_words_ += n;
-    return block.data();
-  }
-
-  /// Locality-annotated allocation (DSM vocabulary). Native hardware has no
-  /// permanent locality, so this forwards to alloc(); it exists so that the
-  /// DSM lock variant instantiates on every model.
-  Word* alloc_owned(Pid /*owner*/, std::size_t n, std::uint64_t init = 0) {
-    return alloc(n, init);
-  }
 
   // --- base vocabulary (seq_cst, the paper's register model) -------------
 
@@ -197,6 +187,46 @@ class BasicNativeModel {
     }
   }
 
+ private:
+  Pid nprocs_;
+};
+
+/// The in-process word space: NativeOps over words bump-allocated from one
+/// monotonic arena. Words are never freed before the model is destroyed, so
+/// a bump arena loses nothing, and consecutive allocations (an instance's
+/// version word and incarnations, a spin-node pool) stay adjacent in memory
+/// instead of scattering across one allocator block per request.
+template <bool Relaxed>
+class BasicNativeModel : public NativeOps<Relaxed> {
+ public:
+  using Word = NativeWord;
+
+  explicit BasicNativeModel(Pid nprocs = 1) : NativeOps<Relaxed>(nprocs) {}
+
+  /// Allocate `n` *contiguous* words initialized to `init`, carved from the
+  /// arena (a request larger than the arena's next chunk gets a chunk of
+  /// its own). Addresses are stable for the model's lifetime and w[0..n) is
+  /// valid pointer arithmetic. Safe to call concurrently.
+  Word* alloc(std::size_t n, std::uint64_t init = 0) {
+    std::lock_guard<std::mutex> guard(alloc_mu_);
+    Word* block =
+        static_cast<Word*>(arena_.allocate(n * sizeof(Word), alignof(Word)));
+    for (std::size_t i = 0; i < n; ++i) {
+      // Pre-publication: the block escapes only through the caller's own
+      // pointer; sharing it with other processes is the caller's edge.
+      ::new (static_cast<void*>(block + i)) Word{init};
+    }
+    total_words_ += n;
+    return block;
+  }
+
+  /// Locality-annotated allocation (DSM vocabulary). Native hardware has no
+  /// permanent locality, so this forwards to alloc(); it exists so that the
+  /// DSM lock variant instantiates on every model.
+  Word* alloc_owned(Pid /*owner*/, std::size_t n, std::uint64_t init = 0) {
+    return alloc(n, init);
+  }
+
   /// Number of words allocated so far (space-accounting hook shared with the
   /// counting models so bench_table1_space works on any model).
   std::size_t words_allocated() const {
@@ -205,9 +235,10 @@ class BasicNativeModel {
   }
 
  private:
-  Pid nprocs_;
   mutable std::mutex alloc_mu_;
-  std::deque<std::vector<Word>> blocks_;  // one block per alloc; stable
+  /// Every word's storage; released only when the model is destroyed
+  /// (see the static_assert on NativeWord).
+  std::pmr::monotonic_buffer_resource arena_;
   std::size_t total_words_ = 0;
 };
 

@@ -47,7 +47,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -59,6 +58,7 @@
 #include "aml/model/native.hpp"
 #include "aml/obs/metrics.hpp"
 #include "aml/pal/backoff.hpp"
+#include "aml/pal/cache.hpp"
 #include "aml/pal/config.hpp"
 #include "aml/table/lock_table.hpp"
 #include "aml/table/thread_registry.hpp"
@@ -366,7 +366,7 @@ class BasicNamedLockTable {
   /// One timed attempt on one key.
   bool timed_enter(std::uint32_t pid, std::uint64_t hash,
                    Clock::time_point when) {
-    AbortSignal& signal = signals_[pid];
+    AbortSignal& signal = *signals_[pid];
     signal.reset();
     const TimerWheel::Token token = wheel_.arm(signal, when);
     const bool ok = table_.enter_hash(pid, hash, signal.flag());
@@ -378,7 +378,7 @@ class BasicNamedLockTable {
   bool timed_enter_hashes(std::uint32_t pid,
                           const std::vector<std::uint64_t>& hashes,
                           Clock::time_point when) {
-    AbortSignal& signal = signals_[pid];
+    AbortSignal& signal = *signals_[pid];
     signal.reset();
     const TimerWheel::Token token = wheel_.arm(signal, when);
     const bool ok = table_.enter_hashes(pid, hashes, signal.flag());
@@ -422,7 +422,9 @@ class BasicNamedLockTable {
   std::unique_ptr<Metrics> metrics_;  ///< enabled flavor only
   Table table_;
   ThreadRegistry registry_;
-  std::deque<AbortSignal> signals_;  ///< one per dense id; timed ops only
+  /// One per dense id; timed ops only. Padded: each waiter spins on its
+  /// own flag while other attempts reset theirs.
+  std::vector<pal::CachePadded<AbortSignal>> signals_;
   TimerWheel wheel_;
   std::atomic<std::uint64_t> ops_{0};  ///< auto-grow sampling counter
 };

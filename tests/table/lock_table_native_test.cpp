@@ -228,12 +228,14 @@ TEST(TableNative, StripeTotalsReadWhileSessionsRun) {
   constexpr std::uint64_t kPassages = 2000;
   ObservedNamedLockTable table({.max_threads = kWorkers, .stripes = 4});
   std::atomic<std::uint32_t> done{0};
+  std::atomic<bool> polling{false};
   std::atomic<bool> went_backwards{false};
   std::uint64_t polls = 0;
 
   pal::run_threads(kWorkers + 1, [&](std::uint32_t t) {
     if (t == kWorkers) {
       std::uint64_t last = 0;
+      polling.store(true, std::memory_order_release);
       while (done.load(std::memory_order_acquire) < kWorkers) {
         const std::uint64_t sum = table.metrics().totals().acquisitions;
         if (sum < last) went_backwards.store(true);
@@ -242,6 +244,9 @@ TEST(TableNative, StripeTotalsReadWhileSessionsRun) {
       }
       return;
     }
+    // Start only once the poller runs, so its reads overlap the passages
+    // instead of all landing after the last one.
+    while (!polling.load(std::memory_order_acquire)) std::this_thread::yield();
     auto session = table.open_session();
     for (std::uint64_t i = 0; i < kPassages; ++i) {
       auto guard = session.acquire(i * kWorkers + t);
