@@ -52,13 +52,15 @@ if(pos EQUAL -1)
 endif()
 
 if(NORMALIZE)
-  # Wall-clock bench: zero every digit run (ints, decimals, exponents all
-  # collapse to strings of zeros) in both files, then require the skeletons
-  # to match. Applied identically to both sides, so structure — keys, rows,
-  # value count — is still pinned.
+  # Wall-clock bench: replace every number (ints, decimals, exponents) with
+  # a single 0 in both files, then require the skeletons to match. A mean
+  # that happens to be integral prints without a fraction, so "12" and
+  # "12.5" must normalize alike. Applied identically to both sides, so
+  # structure — keys, rows, value count — is still pinned.
   foreach(idx 1 2)
     file(READ "${json${idx}}" raw)
-    string(REGEX REPLACE "[0-9]+" "0" raw "${raw}")
+    string(REGEX REPLACE "[0-9]+(\\.[0-9]+)?([eE][-+]?[0-9]+)?" "0" raw
+           "${raw}")
     file(WRITE "${WORK_DIR}/run${idx}/normalized.json" "${raw}")
     set(json${idx} "${WORK_DIR}/run${idx}/normalized.json")
   endforeach()
