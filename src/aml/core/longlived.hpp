@@ -203,7 +203,7 @@ class LongLivedLock {
         config_(config),
         spin_pool_(mem, config.nprocs, config.nprocs + 1),
         journal_(mem, config.nprocs),
-        locals_(Journal::kDurable ? 0 : config.nprocs) {
+        locals_(config.nprocs) {
     AML_ASSERT(config.nprocs >= 1 && config.nprocs <= Journal::kMaxProcs,
                "nprocs out of range for LockDesc packing");
     // N+1 one-shot instances: one installed, one held by each process.
@@ -309,7 +309,11 @@ class LongLivedLock {
   /// by Cleanups whose install CAS subsequently lost, so it counts the
   /// switches that actually happened (total_switches <= total_incarnations).
   std::uint64_t total_switches() const {
-    return switches_.load(std::memory_order_relaxed);  // AML_RELAXED(monotonic introspection counter)
+    std::uint64_t total = 0;
+    for (const auto& local : locals_) {
+      total += local->switches.load(std::memory_order_relaxed);  // AML_RELAXED(monotonic introspection counter)
+    }
+    return total;
   }
   /// Currently installed instance index, via a raw read (testing aid).
   std::uint32_t peek_installed(Pid self) {
@@ -391,7 +395,11 @@ class LongLivedLock {
     const std::uint32_t new_spn = journal_.take_node(spin_pool_, exec, owner);
     if (journal_.install(mem_, exec, owner, *lock_desc_, expected, new_lock,
                          new_spn, seq)) {
-      switches_.fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(monotonic introspection counter)
+      // Single writer (exec), so a plain increment on exec's own line; the
+      // lock object's lines stay read-only on the passage path.
+      auto& switches = locals_[exec]->switches;
+      switches.store(switches.load(std::memory_order_relaxed) + 1,  // AML_RELAXED(single-writer introspection counter)
+                     std::memory_order_relaxed);  // AML_RELAXED(single-writer introspection counter)
       obs_.on_switch(exec, new_lock);
       finish_switch(exec, owner, Journal::unpack(expected));
       return true;
@@ -447,10 +455,14 @@ class LongLivedLock {
           lock(space, config.nprocs, config.w, config.find) {}
   };
 
+  /// One pid's line. The first three fields are its NullJournal locals (a
+  /// durable journal keeps them in its record instead); `switches` counts
+  /// the installs this pid landed as exec, for total_switches().
   struct Local {
     std::uint32_t held = 0;      ///< instance to use for the next allocation
     std::uint32_t old_spn = 0;   ///< spin node saved at our last Cleanup
     std::uint32_t current = 0;   ///< instance joined by the ongoing attempt
+    std::atomic<std::uint64_t> switches{0};
   };
 
   /// Cleanup and the journal's end-of-passage record (lines 64-65, 69).
@@ -492,9 +504,8 @@ class LongLivedLock {
   Pool spin_pool_;
   [[no_unique_address]] Journal journal_;
   std::vector<std::unique_ptr<Instance>> instances_;
-  std::vector<pal::CachePadded<Local>> locals_;  ///< NullJournal only
+  std::vector<pal::CachePadded<Local>> locals_;  ///< one line per pid
   typename M::Word* lock_desc_ = nullptr;
-  std::atomic<std::uint64_t> switches_{0};
   [[no_unique_address]] obs::SinkHandle<Metrics> obs_;
 };
 

@@ -26,6 +26,24 @@
 //
 // The space exposes the same read/write/faa/wait vocabulary as a memory
 // model, so Tree and OneShotLock instantiate over it unchanged.
+//
+// Word policy: each logical word's record (V_w, w_0, w_1) is allocated as
+// one model block, M::alloc({0, init, init}), so on the native model the
+// three words share one cache line and each record has a line of its own
+// (ipc::ShmSpace pads every word, so there a record is still three lines).
+// Every passage starts a fresh session and resolves V_w before touching an
+// incarnation, so packing turns three line transfers per logical word into
+// one; a lone logical word (each go[i], each tree node) still gets a
+// private line, as the CC model assumes of separately allocated words.
+//
+// Local spinning survives the packing. A process spinning on go[i]
+// resolved that record before it started spinning, and V_w already holds
+// the session version, so nobody writes V_w again this session. While it
+// spins, the writes to its line are the grant itself and, at most once, the
+// stale-incarnation reset by a process whose V_w CAS beat the spinner's own
+// resolution: O(1) invalidations per session, as with separate lines. The
+// recycler's eager reset (next_incarnation) writes only records of a
+// quiescent instance, one it holds and nobody has joined.
 #pragma once
 
 #include <atomic>
@@ -67,20 +85,15 @@ class VersionedSpace {
   VersionedSpace& operator=(const VersionedSpace&) = delete;
 
   /// Allocate `n` logical words with initial value `init`. Only valid before
-  /// the instance becomes shared (construction time). The returned handles
-  /// are contiguous and stable: each alloc carves its own handle block from
-  /// the space's handle arena.
+  /// the instance becomes shared (construction time). Each logical word's
+  /// record is one model block (see the word policy above). The returned
+  /// handles are contiguous and stable: each alloc carves its own handle
+  /// block from the space's handle arena.
   Word* alloc(std::size_t n, std::uint64_t init) {
     const std::size_t base = records_.size();
-    // The three backing words of each record are allocated back to back,
-    // so a bump-allocating model keeps them adjacent.
     for (std::size_t i = 0; i < n; ++i) {
-      Record rec;
-      rec.vw = mem_.alloc(1, 0);  // version 0, incarnation 0
-      rec.inc[0] = mem_.alloc(1, init);
-      rec.inc[1] = mem_.alloc(1, init);
-      rec.init = init;
-      records_.push_back(rec);
+      // V_w = (version 0, incarnation 0), then the two incarnations.
+      records_.push_back(Record{mem_.alloc({0, init, init}), init});
     }
     Word* block =
         static_cast<Word*>(handles_.allocate(n * sizeof(Word), alignof(Word)));
@@ -124,9 +137,9 @@ class VersionedSpace {
     for (std::uint64_t k = 0; k < quota && !records_.empty(); ++k) {
       Record& rec = records_[cursor_ % records_.size()];
       cursor_++;
-      mem_.write(self, *rec.inc[0], rec.init);
-      mem_.write(self, *rec.inc[1], rec.init);
-      mem_.write(self, *rec.vw, (v << 1) | 0);  // (v, b=0), both incs initial
+      mem_.write(self, rec.inc(0), rec.init);
+      mem_.write(self, rec.inc(1), rec.init);
+      mem_.write(self, rec.vw(), (v << 1) | 0);  // (v, b=0), both incs initial
     }
   }
 
@@ -141,7 +154,7 @@ class VersionedSpace {
   std::uint64_t peek_version() const { return mem_.peek(*version_word_); }
   /// Raw V_w = (v_w << 1) | b_w of logical word `idx`.
   std::uint64_t peek_vw(std::size_t idx) const {
-    return mem_.peek(*records_[idx].vw);
+    return mem_.peek(records_[idx].vw());
   }
   std::uint64_t version_mask() const { return version_mask_; }
 
@@ -188,10 +201,13 @@ class VersionedSpace {
   }
 
  private:
+  /// One logical word: its block {V_w, w_0, w_1} and its initial value.
   struct Record {
-    typename M::Word* vw = nullptr;
-    typename M::Word* inc[2] = {nullptr, nullptr};
-    std::uint64_t init = 0;
+    typename M::Word* words;
+    std::uint64_t init;
+
+    typename M::Word& vw() const { return words[0]; }
+    typename M::Word& inc(std::uint32_t b) const { return words[1 + b]; }
   };
 
   struct LocalEntry {
@@ -215,29 +231,29 @@ class VersionedSpace {
     if (me.local.size() < records_.size()) me.local.resize(records_.size());
     LocalEntry& entry = me.local[w.idx];
     if (entry.epoch == me.epoch) {
-      return *rec.inc[entry.inc];  // already resolved this session
+      return rec.inc(entry.inc);  // already resolved this session
     }
     const std::uint64_t v = me.current;
-    std::uint64_t raw = mem_.read(self, *rec.vw);
+    std::uint64_t raw = mem_.read(self, rec.vw());
     std::uint64_t vw = raw >> 1;
     std::uint32_t b = static_cast<std::uint32_t>(raw & 1);
     if (vw != v) {
       // Stale: switch to the next incarnation (which holds the initial
       // value) and prepare the now-retired one for the switch after that.
       const std::uint64_t desired = (v << 1) | (1 - b);
-      if (mem_.cas(self, *rec.vw, raw, desired)) {
-        mem_.write(self, *rec.inc[b], rec.init);
+      if (mem_.cas(self, rec.vw(), raw, desired)) {
+        mem_.write(self, rec.inc(b), rec.init);
         b = 1 - b;
       } else {
         // A same-session process won the switch; V_w now holds version v.
-        raw = mem_.read(self, *rec.vw);
+        raw = mem_.read(self, rec.vw());
         AML_DASSERT((raw >> 1) == v, "V_w must hold the session version");
         b = static_cast<std::uint32_t>(raw & 1);
       }
     }
     entry.epoch = me.epoch;
     entry.inc = static_cast<std::uint8_t>(b);
-    return *rec.inc[b];
+    return rec.inc(b);
   }
 
   M& mem_;

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -62,14 +63,16 @@ class CountingCcModel {
   /// pointers are stable for the model's lifetime and w[0..n) is valid
   /// pointer arithmetic.
   Word* alloc(std::size_t n, std::uint64_t init = 0) {
-    std::lock_guard<std::mutex> guard(alloc_mu_);
-    blocks_.emplace_back(n);
-    std::vector<Word>& block = blocks_.back();
-    for (std::size_t i = 0; i < n; ++i) {
-      block[i].value = init;
-      block[i].id = static_cast<std::uint32_t>(next_id_++);
-    }
-    return block.data();
+    return alloc_block(n, [init](std::size_t) { return init; });
+  }
+
+  /// Allocate one block holding a word per entry of `inits` (e.g. a lazily
+  /// reset record, {0, init, init}). Ids are consecutive exactly as for the
+  /// same words allocated one alloc(1) at a time, so RMR accounting and
+  /// step footprints do not depend on how a caller groups its words.
+  Word* alloc(std::initializer_list<std::uint64_t> inits) {
+    return alloc_block(inits.size(),
+                       [&inits](std::size_t i) { return inits.begin()[i]; });
   }
 
   /// Locality-annotated allocation (DSM vocabulary). The CC model has no
@@ -359,6 +362,18 @@ class CountingCcModel {
 
   Pid nprocs_;
   ScheduleHook* hook_ = nullptr;
+  template <typename Init>
+  Word* alloc_block(std::size_t n, Init&& init) {
+    std::lock_guard<std::mutex> guard(alloc_mu_);
+    blocks_.emplace_back(n);
+    std::vector<Word>& block = blocks_.back();
+    for (std::size_t i = 0; i < n; ++i) {
+      block[i].value = init(i);
+      block[i].id = static_cast<std::uint32_t>(next_id_++);
+    }
+    return block.data();
+  }
+
   mutable std::mutex alloc_mu_;
   std::deque<std::vector<Word>> blocks_;  // one block per alloc; stable
   std::deque<Signal> signals_;            // stable addresses, ids in word space

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -48,16 +49,7 @@ class CountingDsmModel {
   /// Allocate `n` words local to `owner` (kNoPid = local to nobody, e.g.
   /// dynamically-assigned queue slots whose locality cannot be guaranteed).
   Word* alloc_owned(Pid owner, std::size_t n, std::uint64_t init = 0) {
-    std::lock_guard<std::mutex> guard(alloc_mu_);
-    blocks_.emplace_back(n);
-    std::vector<Word>& block = blocks_.back();
-    for (std::size_t i = 0; i < n; ++i) {
-      block[i].value = init;
-      block[i].id = static_cast<std::uint32_t>(next_id_++);
-      block[i].owner = owner;
-    }
-    total_words_ += n;
-    return block.data();
+    return alloc_block(owner, n, [init](std::size_t) { return init; });
   }
 
   /// Allocate a gated abort signal (see CountingCcModel::alloc_signal).
@@ -91,6 +83,13 @@ class CountingDsmModel {
   /// whose accessor set is unbounded.
   Word* alloc(std::size_t n, std::uint64_t init = 0) {
     return alloc_owned(kNoPid, n, init);
+  }
+
+  /// One block of words local to nobody, a word per entry of `inits` (see
+  /// CountingCcModel's block alloc: ids as for one-at-a-time allocation).
+  Word* alloc(std::initializer_list<std::uint64_t> inits) {
+    return alloc_block(kNoPid, inits.size(),
+                       [&inits](std::size_t i) { return inits.begin()[i]; });
   }
 
   std::uint64_t read(Pid p, Word& w) {
@@ -315,6 +314,20 @@ class CountingDsmModel {
            !(stop != nullptr && stop->load(std::memory_order_acquire))) {
       backoff.pause();
     }
+  }
+
+  template <typename Init>
+  Word* alloc_block(Pid owner, std::size_t n, Init&& init) {
+    std::lock_guard<std::mutex> guard(alloc_mu_);
+    blocks_.emplace_back(n);
+    std::vector<Word>& block = blocks_.back();
+    for (std::size_t i = 0; i < n; ++i) {
+      block[i].value = init(i);
+      block[i].id = static_cast<std::uint32_t>(next_id_++);
+      block[i].owner = owner;
+    }
+    total_words_ += n;
+    return block.data();
   }
 
   Pid nprocs_;

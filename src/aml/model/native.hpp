@@ -1,5 +1,5 @@
-// NativeModel: the production memory model. Words are cacheline-padded
-// std::atomic<uint64_t>; operations map 1:1 to hardware atomics.
+// NativeModel: the production memory model. Words are std::atomic<uint64_t>
+// laid out by the word policy below; operations map 1:1 to hardware atomics.
 //
 // The paper states its algorithms for a sequentially consistent atomic-
 // register model, so the base vocabulary (read/write/faa/cas/swap) is
@@ -21,12 +21,25 @@
 // The vocabulary lives in NativeOps, which ipc::ShmSpace shares; the model
 // adds allocation, bump-allocating every word from one monotonic arena.
 //
+// Word policy: a NativeWord is one 8-B atomic, and every alloc() block
+// starts on a fresh cache line and is padded to whole lines. So alloc(1) is
+// one private line (every lock word the algorithms allocate alone: queue
+// slots, spin nodes, announce entries, descriptors), and words a caller
+// allocates together as one block share lines. The counting models charge
+// RMRs per word; hardware charges per line, so packing is right exactly
+// where the words of a block are written by the same processes at the same
+// time (VersionedSpace's record of V_w and two incarnations) and wrong
+// anywhere two processes would write neighbouring words. Callers choose by
+// how they allocate; there is no second layout. ipc::ShmSpace keeps a
+// line-padded word (PaddedNativeWord) so its segment layout is unchanged.
+//
 // This model performs no accounting; instantiating the lock templates with
 // it yields the deployable library (aml::AbortableLock).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory_resource>
 #include <mutex>
 #include <new>
@@ -39,27 +52,34 @@
 
 namespace aml::model {
 
-/// One shared native word. Padded to a cache line so that the per-slot spin
-/// words of the queue lock do not false-share, which the CC cost model
-/// assumes.
-struct alignas(pal::kCacheLine) NativeWord {
+/// One shared native word: 8 bytes. Line separation is a property of the
+/// allocation block, not of the word (see the word policy above).
+struct NativeWord {
   std::atomic<std::uint64_t> v{0};
 };
+static_assert(sizeof(NativeWord) == 8);
 static_assert(std::is_trivially_destructible_v<NativeWord>,
               "the arena releases words without destroying them");
 
-/// The native operation vocabulary over NativeWords, independent of where
-/// the words live: BasicNativeModel allocates them from a heap arena,
-/// ipc::ShmSpace from a shared segment.
+/// A native word alone on its cache line: ipc::ShmSpace's word, so that
+/// every shared-segment word, block member or not, keeps its own line.
+struct alignas(pal::kCacheLine) PaddedNativeWord {
+  std::atomic<std::uint64_t> v{0};
+};
+
+/// The native operation vocabulary over words `W` (any type with an
+/// `std::atomic<std::uint64_t> v`), independent of where the words live:
+/// BasicNativeModel allocates NativeWords from a heap arena, ipc::ShmSpace
+/// PaddedNativeWords from a shared segment.
 ///
 /// `Relaxed` selects the memory-ordering regime of the ordered vocabulary:
 /// true (the production default) lowers read_acq/write_rel/wait to real
 /// acquire/release hardware orders; false lowers everything to seq_cst,
 /// reproducing the conservative pre-relaxation model for A/B measurement.
-template <bool Relaxed>
+template <bool Relaxed, typename W>
 class NativeOps {
  public:
-  using Word = NativeWord;
+  using Word = W;
 
   explicit NativeOps(Pid nprocs) : nprocs_(nprocs) {}
 
@@ -191,32 +211,44 @@ class NativeOps {
   Pid nprocs_;
 };
 
-/// The in-process word space: NativeOps over words bump-allocated from one
-/// monotonic arena. Words are never freed before the model is destroyed, so
-/// a bump arena loses nothing, and consecutive allocations (an instance's
-/// version word and incarnations, a spin-node pool) stay adjacent in memory
+/// The in-process word space: NativeOps over 8-B words bump-allocated from
+/// one monotonic arena. Words are never freed before the model is
+/// destroyed, so a bump arena loses nothing, and consecutive allocations
+/// (an instance's records, a spin-node pool) stay adjacent in memory
 /// instead of scattering across one allocator block per request.
 template <bool Relaxed>
-class BasicNativeModel : public NativeOps<Relaxed> {
+class BasicNativeModel : public NativeOps<Relaxed, NativeWord> {
  public:
   using Word = NativeWord;
 
-  explicit BasicNativeModel(Pid nprocs = 1) : NativeOps<Relaxed>(nprocs) {}
+  explicit BasicNativeModel(Pid nprocs = 1)
+      : NativeOps<Relaxed, NativeWord>(nprocs) {}
 
-  /// Allocate `n` *contiguous* words initialized to `init`, carved from the
-  /// arena (a request larger than the arena's next chunk gets a chunk of
-  /// its own). Addresses are stable for the model's lifetime and w[0..n) is
-  /// valid pointer arithmetic. Safe to call concurrently.
+  /// Allocate `n` *contiguous* words initialized to `init`, as one block:
+  /// it starts on a fresh cache line and is padded to whole lines, so it
+  /// shares no line with any other block (a request larger than the
+  /// arena's next chunk gets a chunk of its own). Addresses are stable for
+  /// the model's lifetime and w[0..n) is valid pointer arithmetic. Safe to
+  /// call concurrently.
   Word* alloc(std::size_t n, std::uint64_t init = 0) {
-    std::lock_guard<std::mutex> guard(alloc_mu_);
-    Word* block =
-        static_cast<Word*>(arena_.allocate(n * sizeof(Word), alignof(Word)));
+    Word* block = carve(n);
     for (std::size_t i = 0; i < n; ++i) {
       // Pre-publication: the block escapes only through the caller's own
       // pointer; sharing it with other processes is the caller's edge.
       ::new (static_cast<void*>(block + i)) Word{init};
     }
-    total_words_ += n;
+    return block;
+  }
+
+  /// Allocate one block holding a word per entry of `inits`, each
+  /// initialized to its entry (e.g. a lazily reset record, {0, init,
+  /// init}). Same block contract as alloc(n, init).
+  Word* alloc(std::initializer_list<std::uint64_t> inits) {
+    Word* block = carve(inits.size());
+    Word* w = block;
+    for (const std::uint64_t init : inits) {
+      ::new (static_cast<void*>(w++)) Word{init};  // pre-publication
+    }
     return block;
   }
 
@@ -234,12 +266,30 @@ class BasicNativeModel : public NativeOps<Relaxed> {
     return total_words_;
   }
 
+  /// Bytes the blocks occupy in the arena, padding included: whole cache
+  /// lines, so bytes_allocated() / kCacheLine is the number of lines.
+  std::size_t bytes_allocated() const {
+    std::lock_guard<std::mutex> guard(alloc_mu_);
+    return total_bytes_;
+  }
+
  private:
+  /// Storage for an n-word block: line-aligned, whole lines.
+  Word* carve(std::size_t n) {
+    const std::size_t bytes =
+        (n * sizeof(Word) + pal::kCacheLine - 1) & ~(pal::kCacheLine - 1);
+    std::lock_guard<std::mutex> guard(alloc_mu_);
+    total_words_ += n;
+    total_bytes_ += bytes;
+    return static_cast<Word*>(arena_.allocate(bytes, pal::kCacheLine));
+  }
+
   mutable std::mutex alloc_mu_;
   /// Every word's storage; released only when the model is destroyed
   /// (see the static_assert on NativeWord).
   std::pmr::monotonic_buffer_resource arena_;
   std::size_t total_words_ = 0;
+  std::size_t total_bytes_ = 0;
 };
 
 /// The production model: per-edge acquire/release on the justified paths.

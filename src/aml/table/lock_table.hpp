@@ -28,10 +28,12 @@
 // *generation* (stripe array + mask + per-stripe stats); the old generation
 // drains and retires:
 //
-//   * every key passage pins the current generation (a per-generation
-//     refcount) for its whole enter..exit lifetime, and acquires stripes
-//     through that generation's mask — so a key never changes stripe
-//     mid-hold;
+//   * every key passage pins the current generation for its whole
+//     enter..exit lifetime, and acquires stripes through that generation's
+//     mask — so a key never changes stripe mid-hold. A generation's pins are
+//     one padded cell per dense id, each written only by its id (a count:
+//     an id may hold several keys), so pinning writes no line another
+//     thread writes; the pin count is the sum of the cells;
 //   * while the previous generation has live pins (passages that started
 //     before the switch), a new-generation passage *bridges*: it acquires
 //     the key's old-generation stripe first, then its new-generation stripe.
@@ -42,10 +44,12 @@
 //     multi-key acquisition stays deadlock-free during a drain;
 //   * when the old generation's pin count hits zero it is *retired*:
 //     bridging stops, and passages cost exactly one stripe lock again.
-//     Retirement uses seq_cst on the pin counter and the current-generation
-//     pointer (a Dekker-style publication: pinners increment-then-recheck,
-//     the resizer publishes-then-reads) so a passage active on the old
-//     generation can never be missed.
+//     Retirement uses seq_cst on the pin cells and the current-generation
+//     pointer (a Dekker-style publication: pinners store-then-recheck, the
+//     resizer publishes-then-scans) so a passage active on the old
+//     generation can never be missed. An unpin that empties its cell on a
+//     superseded generation scans all N cells and retires the generation
+//     if none is pinned; the scan runs only during a drain.
 //
 // resize() is non-blocking and grow-only: it returns false when another
 // resize is in flight, when the previous drain has not finished, or when the
@@ -343,13 +347,13 @@ class LockTable {
     if (old_gen != nullptr) {
       s_old = static_cast<std::uint32_t>(hash) & old_gen->mask;
       if (!acquire_gen_stripe(*old_gen, self, s_old, signal)) {
-        unpin(gen);
+        unpin(self, gen);
         return false;
       }
     }
     if (!acquire_gen_stripe(*gen, self, s_new, signal)) {
       if (old_gen != nullptr) old_gen->stripes[s_old]->exit(self);
-      unpin(gen);
+      unpin(self, gen);
       return false;
     }
     locals_[self]->singles.push_back(
@@ -365,7 +369,7 @@ class LockTable {
       singles.erase(singles.begin() + static_cast<std::ptrdiff_t>(i));
       hold.gen->stripes[hold.s_new]->exit(self);
       if (hold.old_gen != nullptr) hold.old_gen->stripes[hold.s_old]->exit(self);
-      unpin(hold.gen);
+      unpin(self, hold.gen);
       return;
     }
     AML_ASSERT(false, "exit_hash: key is not held by this thread");
@@ -411,7 +415,7 @@ class LockTable {
     for (std::size_t i = 0; i < hold.order_old.size(); ++i) {
       if (!acquire_gen_stripe(*old_gen, self, hold.order_old[i], signal)) {
         while (i-- > 0) old_gen->stripes[hold.order_old[i]]->exit(self);
-        unpin(gen);
+        unpin(self, gen);
         return false;
       }
     }
@@ -421,7 +425,7 @@ class LockTable {
         for (std::size_t j = hold.order_old.size(); j-- > 0;) {
           old_gen->stripes[hold.order_old[j]]->exit(self);
         }
-        unpin(gen);
+        unpin(self, gen);
         return false;
       }
     }
@@ -442,7 +446,7 @@ class LockTable {
       for (std::size_t j = hold.order_old.size(); j-- > 0;) {
         hold.old_gen->stripes[hold.order_old[j]]->exit(self);
       }
-      unpin(hold.gen);
+      unpin(self, hold.gen);
       return;
     }
     AML_ASSERT(false, "exit_hashes: key set is not held by this thread");
@@ -480,11 +484,9 @@ class LockTable {
     current_.store(next, std::memory_order_seq_cst);  // AML_V_EDGE(table.gen_publish)
     // If no passage is pinned to the old generation, retire it right here —
     // no unpin will ever fire for it again. (Dekker pairing with pin(): the
-    // seq_cst store above precedes this load, so a passage that saw the old
-    // pointer has its increment visible here.)
-    if (old_gen->pins.load(std::memory_order_seq_cst) == 0) {
-      maybe_retire(old_gen);
-    }
+    // seq_cst store above precedes this scan, so a passage that saw the old
+    // pointer has its cell store visible here.)
+    maybe_retire(old_gen);
     resizing_.store(false, std::memory_order_release);  // AML_V_EDGE(table.resize_guard)
     return true;
   }
@@ -561,7 +563,9 @@ class LockTable {
       GenerationView v;
       v.epoch = g->epoch;
       v.stripe_count = g->mask + 1;
-      v.pins = g->pins.load(std::memory_order_acquire);  // AML_X_EDGE(table.gen_quiesce)
+      for (const auto& cell : g->pins) {
+        v.pins += cell->load(std::memory_order_acquire);  // AML_X_EDGE(table.gen_quiesce)
+      }
       v.retired = g->retired.load(std::memory_order_acquire);  // AML_X_EDGE(table.gen_quiesce)
       v.is_current = (g.get() == current);
       out.push_back(v);
@@ -569,11 +573,12 @@ class LockTable {
     return out;
   }
 
-  /// Test-only: bias generation `gen_idx`'s pin count to manufacture an
-  /// illegal state (e.g. a retired generation with pinned passages) so oracle
-  /// fire-tests can observe a violation. Never call outside tests.
+  /// Test-only: bias generation `gen_idx`'s pin count (the sum of its cells;
+  /// the bias goes to id 0's cell) to manufacture an illegal state (e.g. a
+  /// retired generation with pinned passages) so oracle fire-tests can
+  /// observe a violation. Never call outside tests.
   void debug_corrupt_pins(std::size_t gen_idx, std::uint64_t delta) {
-    gens_[gen_idx]->pins.fetch_add(delta, std::memory_order_seq_cst);
+    gens_[gen_idx]->pins[0]->fetch_add(delta, std::memory_order_seq_cst);
   }
 
   /// Test-only: force generation `gen_idx`'s retired flag. See
@@ -605,7 +610,9 @@ class LockTable {
     Generation* prev = nullptr;  ///< the generation this one superseded
     std::vector<std::unique_ptr<StripeLock>> stripes;
     std::vector<pal::CachePadded<StripeStats>> stats;
-    std::atomic<std::uint64_t> pins{0};   ///< passages in flight on this gen
+    /// Passages in flight on this generation, one single-writer cell per
+    /// dense id (see pin()).
+    std::vector<pal::CachePadded<std::atomic<std::uint64_t>>> pins;
     std::atomic<bool> retired{false};     ///< fully drained; bridging over
   };
 
@@ -680,6 +687,8 @@ class LockTable {
     gen->prev = prev;
     gen->stripes.reserve(nstripes);
     gen->stats = std::vector<pal::CachePadded<StripeStats>>(nstripes);
+    gen->pins = std::vector<pal::CachePadded<std::atomic<std::uint64_t>>>(
+        config_.max_threads);
     // Resize is grow-only over powers of two, so every parent stripe splits
     // into exactly `fanout` children; dividing the carried-over totals by it
     // keeps the children's inherited history summing to the parent's (a
@@ -710,32 +719,41 @@ class LockTable {
     return gen;
   }
 
-  /// Pin the current generation for one passage. The increment-then-recheck
-  /// (all seq_cst) pairs with resize()'s publish-then-read: either the
+  /// Pin the current generation for one passage. The store-then-recheck
+  /// (all seq_cst) pairs with resize()'s publish-then-scan: either the
   /// pinner lands on the generation that is still current, or it retries on
   /// the new one — a stale pin is withdrawn before any stripe is touched.
-  Generation* pin(Pid /*self*/) {
+  /// Only `self` writes its cell, so a load and a store replace the RMW.
+  Generation* pin(Pid self) {
     for (;;) {
       Generation* g = current_.load(std::memory_order_seq_cst);
-      g->pins.fetch_add(1, std::memory_order_seq_cst);
+      std::atomic<std::uint64_t>& cell = *g->pins[self];
+      cell.store(cell.load(std::memory_order_relaxed) + 1,  // AML_RELAXED(single-writer cell: reads self's own last store)
+                 std::memory_order_seq_cst);
       if (current_.load(std::memory_order_seq_cst) == g) return g;
-      unpin(g);
+      unpin(self, g);
     }
   }
 
-  void unpin(Generation* g) {
+  void unpin(Pid self, Generation* g) {
+    std::atomic<std::uint64_t>& cell = *g->pins[self];
+    const std::uint64_t left =
+        cell.load(std::memory_order_relaxed) - 1;  // AML_RELAXED(single-writer cell: reads self's own last store)
     // seq_cst for the Dekker with resize(); also the release side the
-    // quiescence probes acquire.
-    if (g->pins.fetch_sub(1, std::memory_order_seq_cst) == 1) {  // AML_V_EDGE(table.gen_quiesce)
-      maybe_retire(g);
-    }
+    // quiescence scans acquire.
+    cell.store(left, std::memory_order_seq_cst);  // AML_V_EDGE(table.gen_quiesce)
+    if (left == 0) maybe_retire(g);
   }
 
-  /// Retire `g` if it is superseded and drained. Idempotent; racing callers
-  /// can both store true.
+  /// Retire `g` if it is superseded and drained: no cell pinned. Idempotent;
+  /// racing callers can both store true. Of two ids emptying their cells
+  /// concurrently, the later store in the seq_cst order precedes its own
+  /// scan, which therefore sees both cells empty: the last unpin retires.
   void maybe_retire(Generation* g) {
     if (current_.load(std::memory_order_seq_cst) == g) return;
-    if (g->pins.load(std::memory_order_seq_cst) != 0) return;
+    for (const auto& cell : g->pins) {
+      if (cell->load(std::memory_order_seq_cst) != 0) return;  // AML_X_EDGE(table.gen_quiesce)
+    }
     g->retired.store(true, std::memory_order_seq_cst);  // AML_V_EDGE(table.gen_quiesce)
   }
 

@@ -17,10 +17,13 @@
 //
 // tests/litmus/broken_peterson.cpp and broken_mutex.cpp are the negative
 // controls: deliberately under-ordered classics that MUST fail under TSan
-// (WILL_FAIL ctest entries in the sanitizer build).
+// (WILL_FAIL ctest entries in the sanitizer build). broken_gen_quiesce.cpp
+// is the table pin's negative control: a hardware store-buffering outcome,
+// not a TSan report, so it is built uninstrumented and runs in every build.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -36,6 +39,7 @@
 #include "aml/pal/threading.hpp"
 #include "aml/table/named_table.hpp"
 #include "aml/table/thread_registry.hpp"
+#include "gen_quiesce_shape.hpp"
 
 namespace aml {
 namespace {
@@ -216,6 +220,21 @@ TEST(LitmusTableResizeGuard, ConcurrentGrowersSerialize) {
 
 TEST(LitmusTableGenQuiesce, StatProbesNeverRaceDrain) {
   EXPECT_EQ(table_churn(4, 32, 400, true), 4u * 400u);
+}
+
+// The pin-cell store / scan pairing itself (gen_quiesce_shape.hpp mirrors
+// LockTable::pin() against resize() and maybe_retire() op-for-op): with
+// the table's seq_cst cell store no round may lose a pin. The negative
+// control broken_gen_quiesce.cpp runs the same shape with a release store
+// and must see a lost pin (WILL_FAIL LitmusBrokenGenQuiesceFires).
+TEST(LitmusTableGenQuiesce, CellStoreScanNeverLosesAPin) {
+  using namespace std::chrono_literals;
+  const litmus::GenQuiesceRun run =
+      litmus::run_gen_quiesce<std::memory_order_seq_cst>(200'000, 2s,
+                                                         false);
+  EXPECT_GT(run.rounds, 0u);
+  EXPECT_EQ(run.lost, 0u) << "of " << run.rounds << " rounds, "
+                          << run.pinned_old << " kept the old generation";
 }
 
 // ---- table.tid_lease -------------------------------------------------------

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "aml/core/longlived.hpp"
+#include "aml/core/oneshot.hpp"
 #include "aml/core/versioned_space.hpp"
 
 namespace aml::model {
@@ -26,14 +29,35 @@ TEST(Native, BasicOps) {
   EXPECT_EQ(m.read(0, *w), 20u);
 }
 
-TEST(Native, WordsAreCacheLinePadded) {
+/// The cache line holding `p`.
+std::uintptr_t line_of(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) / 64;
+}
+
+// The word policy: words of one block are packed 8 B apart; a block is
+// padded to whole lines, so the next block (even alloc(1)) starts on a
+// fresh line.
+TEST(Native, AllocBlocksArePaddedToWholeLines) {
+  static_assert(sizeof(NativeModel::Word) == 8);
   NativeModel m(1);
   auto* words = m.alloc(4, 0);
   for (int i = 0; i < 3; ++i) {
     const auto a = reinterpret_cast<std::uintptr_t>(&words[i]);
     const auto b = reinterpret_cast<std::uintptr_t>(&words[i + 1]);
-    EXPECT_GE(b - a, 64u);
+    EXPECT_EQ(b - a, 8u);
+    EXPECT_EQ(line_of(&words[i]), line_of(&words[0]));
   }
+  auto* single = m.alloc(1, 0);
+  auto* record = m.alloc({0, 5, 5});
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(single) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(record) % 64, 0u);
+  EXPECT_NE(line_of(single), line_of(words));
+  EXPECT_NE(line_of(record), line_of(single));
+  EXPECT_EQ(m.read(0, record[0]), 0u);
+  EXPECT_EQ(m.read(0, record[1]), 5u);
+  EXPECT_EQ(m.read(0, record[2]), 5u);
+  EXPECT_EQ(m.words_allocated(), 8u);
+  EXPECT_EQ(m.bytes_allocated(), 3u * 64);
 }
 
 TEST(Native, LargeAllocationsAreContiguous) {
@@ -104,8 +128,8 @@ struct Block {
   std::size_t n;
 };
 
-/// Every word of every block is 64-B aligned and no two blocks overlap.
-void ExpectAlignedAndDisjoint(std::vector<Block> blocks) {
+/// Every block starts on a cache line and no two blocks share a line.
+void ExpectAlignedAndLineDisjoint(std::vector<Block> blocks) {
   for (const Block& b : blocks) {
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(b.words) % 64, 0u);
   }
@@ -113,28 +137,37 @@ void ExpectAlignedAndDisjoint(std::vector<Block> blocks) {
     return a.words < b.words;
   });
   for (std::size_t i = 1; i < blocks.size(); ++i) {
-    ASSERT_LE(blocks[i - 1].words + blocks[i - 1].n, blocks[i].words)
-        << "blocks " << i - 1 << " and " << i << " overlap";
+    const Block& prev = blocks[i - 1];
+    ASSERT_LT(line_of(prev.words + prev.n - 1), line_of(blocks[i].words))
+        << "blocks " << i - 1 << " and " << i << " share a line";
   }
 }
+
+/// Bytes an n-word block occupies: whole 64-B lines of 8-B words.
+std::size_t block_bytes(std::size_t n) { return (n * 8 + 63) / 64 * 64; }
 
 TEST(Native, ArenaCarvesMixedAndOversizedBlocks) {
   NativeModel m(1);
   std::vector<Block> blocks;
   std::vector<std::uint64_t> tags;
   std::size_t words = 0;
+  std::size_t bytes = 0;
   const auto add = [&](std::size_t n, std::uint64_t tag) {
     blocks.push_back({m.alloc(n, tag), n});
     tags.push_back(tag);
     words += n;
+    bytes += block_bytes(n);
   };
   for (std::uint64_t i = 0; i < 300; ++i) add(1, 1000 + i);
   // 4 MiB in one request: larger than any chunk the arena has grown to, so
   // it must still come back as one contiguous run.
-  add(std::size_t{1} << 16, 7);
-  for (std::uint64_t i = 0; i < 300; ++i) add(1 + i % 5, 5000 + i);
+  add(std::size_t{1} << 19, 7);
+  // Mixed sizes around the 8-word line: 1..7 words share one line, 8 fill
+  // it exactly, 9..17 spill into a second and third.
+  for (std::uint64_t i = 0; i < 300; ++i) add(1 + i % 17, 5000 + i);
   EXPECT_EQ(m.words_allocated(), words);
-  ExpectAlignedAndDisjoint(blocks);
+  EXPECT_EQ(m.bytes_allocated(), bytes);
+  ExpectAlignedAndLineDisjoint(blocks);
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     for (std::size_t i = 0; i < blocks[b].n; ++i) {
       ASSERT_EQ(m.read(0, blocks[b].words[i]), tags[b])
@@ -170,7 +203,7 @@ TEST(Native, ConcurrentAllocationsAreDisjoint) {
     }
   }
   EXPECT_EQ(m.words_allocated(), words);
-  ExpectAlignedAndDisjoint(std::move(all));
+  ExpectAlignedAndLineDisjoint(std::move(all));
 }
 
 TEST(Native, VersionedSpaceHandleBlocksSpanChunks) {
@@ -190,6 +223,7 @@ TEST(Native, VersionedSpaceHandleBlocksSpanChunks) {
   logical += 4096;
   EXPECT_EQ(space.logical_words(), logical);
   EXPECT_EQ(m.words_allocated(), 1 + 3 * logical);  // version word + triples
+  EXPECT_EQ(m.bytes_allocated(), 64 * (1 + logical));  // one line each
 
   std::uint32_t next = 0;
   for (const auto& [words, n] : blocks) {
@@ -216,6 +250,92 @@ TEST(Native, VersionedSpaceHandleBlocksSpanChunks) {
       ASSERT_EQ(space.read(1, words[i]), 9u) << "logical word " << words[i].idx;
     }
   }
+}
+
+// --- the line layout of a recycled instance --------------------------------
+
+/// NativeModel that remembers every block allocation it serves.
+class RecordingModel : public NativeModel {
+ public:
+  explicit RecordingModel(Pid nprocs) : NativeModel(nprocs) {}
+
+  Word* alloc(std::size_t n, std::uint64_t init = 0) {
+    return remember(NativeModel::alloc(n, init), n);
+  }
+  Word* alloc(std::initializer_list<std::uint64_t> inits) {
+    return remember(NativeModel::alloc(inits), inits.size());
+  }
+
+  std::vector<Block> blocks;
+
+ private:
+  Word* remember(Word* w, std::size_t n) {
+    blocks.push_back({w, n});
+    return w;
+  }
+};
+
+TEST(Native, VersionedRecordWordsShareOneLine) {
+  RecordingModel m(2);
+  core::VersionedSpace<RecordingModel> space(m, 2, 64);
+  space.alloc(5, 3);
+  space.alloc(1, 0);
+  ASSERT_EQ(m.blocks.size(), 1u + 6);  // the version word, then six records
+  for (std::size_t b = 1; b < m.blocks.size(); ++b) {
+    const Block& rec = m.blocks[b];
+    ASSERT_EQ(rec.n, 3u) << "V_w and two incarnations";
+    EXPECT_EQ(line_of(&rec.words[0]), line_of(&rec.words[2]))
+        << "record " << b - 1 << " spans two lines";
+  }
+  EXPECT_EQ(m.read(0, m.blocks[1].words[0]), 0u);  // V_w = (0, 0)
+  EXPECT_EQ(m.read(0, m.blocks[1].words[1]), 3u);
+  EXPECT_EQ(m.read(0, m.blocks[1].words[2]), 3u);
+  ExpectAlignedAndLineDisjoint(m.blocks);
+  // The lazy reset still works through the packed record.
+  space.begin_session(0);
+  auto* w = space.alloc(1, 7);
+  space.write(0, *w, 8);
+  space.next_incarnation(1);
+  space.begin_session(1);
+  EXPECT_EQ(space.read(1, *w), 7u);
+}
+
+TEST(Native, GoRecordsOfOneInstanceAreOnDistinctLines) {
+  constexpr std::uint32_t kSlots = 16;
+  RecordingModel m(kSlots);
+  core::VersionedSpace<RecordingModel> space(m, kSlots, 64);
+  core::OneShotLock<core::VersionedSpace<RecordingModel>> lock(space, kSlots,
+                                                              64);
+  // go[0..kSlots) are the instance's last records (after the tree, Tail,
+  // Head and LastExited).
+  ASSERT_GE(m.blocks.size(), kSlots + 4u);
+  const std::vector<Block> go(m.blocks.end() - kSlots, m.blocks.end());
+  std::vector<std::uintptr_t> lines;
+  for (const Block& rec : go) {
+    ASSERT_EQ(rec.n, 3u);
+    for (std::size_t i = 0; i < rec.n; ++i) {
+      EXPECT_EQ(line_of(&rec.words[i]), line_of(rec.words));
+    }
+    lines.push_back(line_of(rec.words));
+  }
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(std::adjacent_find(lines.begin(), lines.end()), lines.end())
+      << "two go[i] records share a line";
+  EXPECT_EQ(m.read(0, go[0].words[1]), 1u);  // go = [1, 0, ..., 0]
+  EXPECT_EQ(m.read(0, go[1].words[1]), 0u);
+  ExpectAlignedAndLineDisjoint(m.blocks);
+}
+
+// One paper stripe at the default N = 64: 17,550 words (65 instances of one
+// version word and 68 records, 64 x 65 spin nodes, 64 announce entries,
+// LockDesc) on 8,710 lines = 557,440 B, against 17,550 lines with a line
+// per word.
+TEST(Native, PaperStripeAtN64Reserves8710Lines) {
+  NativeModel m(64);
+  core::LongLivedLock<NativeModel> lock(m, {.nprocs = 64, .w = 64});
+  EXPECT_EQ(m.words_allocated(), 17550u);
+  EXPECT_EQ(m.bytes_allocated(), 8710u * 64);
+  EXPECT_EQ(m.bytes_allocated(), 557440u);
 }
 
 }  // namespace

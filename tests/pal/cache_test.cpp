@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 namespace aml::pal {
 namespace {
@@ -23,6 +25,25 @@ TEST(CachePadded, ValueAccess) {
   EXPECT_EQ(*v, 41);
   *v += 1;
   EXPECT_EQ(v.value, 42);
+}
+
+// Small owner-private buffers allocated back to back (as a spin-node pool's
+// per-owner states are) must not share a line, whatever malloc would do.
+TEST(LineVector, SmallBuffersGetLinesOfTheirOwn) {
+  std::vector<LineVector<std::uint8_t>> owners;
+  for (int i = 0; i < 8; ++i) owners.emplace_back(65, std::uint8_t{0});
+  std::vector<std::uintptr_t> lines;
+  for (const auto& v : owners) {
+    const auto first = reinterpret_cast<std::uintptr_t>(v.data());
+    ASSERT_EQ(first % kCacheLine, 0u);
+    const auto last = first + v.size() - 1;
+    for (std::uintptr_t l = first / kCacheLine; l <= last / kCacheLine; ++l) {
+      lines.push_back(l);
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(std::adjacent_find(lines.begin(), lines.end()), lines.end())
+      << "two owners' buffers share a line";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // bookkeeping, the always-on StripeStats block, and the grow policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -50,6 +51,67 @@ TEST(LockTableResize, GrowOnlyAndDrainGate) {
   EXPECT_TRUE(table.resize(16));  // drain complete; grow proceeds
   EXPECT_EQ(table.epoch(), 2u);
   EXPECT_EQ(table.stripe_count(), 16u);
+}
+
+// Two ids hold passages across a resize: each pins the old generation in
+// its own cell, and the old generation retires exactly at the last unpin,
+// whichever id releases last. Id 0 holds two keys, so its cell counts 2 and
+// its first exit must not empty it.
+void ExpectRetiresAtLastUnpin(bool id0_releases_last) {
+  CountingCcModel mem(2);
+  CcTable table(mem, {.max_threads = 2, .stripes = 4, .tree_width = 8});
+  // Three keys on three distinct stripes, so one thread can hold them all.
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> used;
+  for (std::uint64_t k = 1; keys.size() < 3; ++k) {
+    const std::uint32_t s = table.stripe_of(k);
+    if (std::find(used.begin(), used.end(), s) != used.end()) continue;
+    used.push_back(s);
+    keys.push_back(k);
+  }
+  const auto old_gen = [&] { return table.debug_generations().at(0); };
+  ASSERT_TRUE(table.enter(0, keys[0]));
+  ASSERT_TRUE(table.enter(0, keys[1]));
+  ASSERT_TRUE(table.enter(1, keys[2]));
+  EXPECT_EQ(old_gen().pins, 3u);
+  ASSERT_TRUE(table.resize(8));
+  EXPECT_TRUE(table.draining());
+  EXPECT_EQ(old_gen().pins, 3u);
+  EXPECT_FALSE(old_gen().retired);
+
+  table.exit(0, keys[0]);  // id 0 still holds keys[1]
+  EXPECT_EQ(old_gen().pins, 2u);
+  EXPECT_FALSE(old_gen().retired);
+  if (id0_releases_last) {
+    table.exit(1, keys[2]);
+    EXPECT_EQ(old_gen().pins, 1u);
+    EXPECT_FALSE(old_gen().retired);
+    EXPECT_TRUE(table.draining());
+    table.exit(0, keys[1]);
+  } else {
+    table.exit(0, keys[1]);
+    EXPECT_EQ(old_gen().pins, 1u);
+    EXPECT_FALSE(old_gen().retired);
+    EXPECT_TRUE(table.draining());
+    table.exit(1, keys[2]);
+  }
+  EXPECT_EQ(old_gen().pins, 0u);
+  EXPECT_TRUE(old_gen().retired);
+  EXPECT_FALSE(table.draining());
+  // A passage on the new generation pins only the new generation's cells.
+  ASSERT_TRUE(table.enter(1, keys[0]));
+  EXPECT_EQ(old_gen().pins, 0u);
+  EXPECT_EQ(table.debug_generations().at(1).pins, 1u);
+  table.exit(1, keys[0]);
+  EXPECT_EQ(table.debug_generations().at(1).pins, 0u);
+}
+
+TEST(LockTableResize, OldGenerationRetiresAtLastUnpinId0Last) {
+  ExpectRetiresAtLastUnpin(/*id0_releases_last=*/true);
+}
+
+TEST(LockTableResize, OldGenerationRetiresAtLastUnpinId1Last) {
+  ExpectRetiresAtLastUnpin(/*id0_releases_last=*/false);
 }
 
 // A passage that starts during the drain must still exclude a pre-resize
