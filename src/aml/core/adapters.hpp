@@ -3,7 +3,8 @@
 //   * LockGuard / TryGuard     — RAII critical sections;
 //   * TimerWheel               — one background thread that raises
 //                                AbortSignals at deadlines (the watchdog
-//                                pattern every timed-try-lock needs);
+//                                pattern every timed-try-lock needs), with
+//                                per-thread shards for arm/cancel;
 //   * TimedAbortableLock       — try_enter_for / try_enter_until built from
 //                                the lock's bounded-abort guarantee;
 //   * StdAbortableMutex        — satisfies the standard Lockable concept
@@ -14,11 +15,14 @@
 //                                table::ThreadRegistry.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -67,14 +71,37 @@ class TryGuard {
 };
 
 /// A single background thread that raises abort signals when their deadline
-/// passes. Pending entries are indexed *by deadline* (a multimap ordered on
-/// `when`) with a token -> entry side index for cancel, so arm(), cancel()
-/// and each wheel wakeup are O(log #pending) — a previous revision scanned
-/// the whole token map on every wakeup, turning a deadline storm into
-/// O(#pending) work per fire. arm() wakes the wheel thread only when the new
-/// deadline becomes the earliest; armings behind the current front leave the
-/// wheel asleep until its already-correct wakeup time. Deadlines already due
-/// are raised immediately by the wheel thread.
+/// passes. Timed acquisitions bracket every enter with arm() and cancel(), so
+/// those two calls sit on the acquisition path and share no lock between
+/// threads:
+///
+///   * Shards. Entries live in kShards line-padded shards, each a mutex, an
+///     unordered vector and an atomic `front` (its earliest deadline). arm()
+///     uses the calling thread's shard (assigned round-robin on the thread's
+///     first arm), and the token names the shard, so cancel() locks only
+///     that one. cancel() erases by swap-pop and recomputes the front only
+///     when the front entry goes. Vectors keep their capacity, so a steady state
+///     allocates nothing. (Sharding by signal address would not spread:
+///     stack-allocated signals of different threads collide modulo kShards.)
+///   * Wake protocol (a store-load Dekker, both sides seq_cst). The wheel
+///     publishes `sleep_until_`: kScanning while it scans, the deadline it
+///     will sleep until, or kNever when parked idle. arm() stores its
+///     shard's front, then loads `sleep_until_`, and wakes the wheel only if
+///     its deadline is earlier. The wheel stores `sleep_until_`, then
+///     rechecks every front before it sleeps; so either the wheel sees the
+///     new front or arm() sees the published sleep and wakes it. The wake
+///     sets a flag under the wake mutex, so a wake that lands before the
+///     wheel's wait is not lost.
+///   * Raise order and the cancel guarantee. A scan locks every due shard
+///     in index order, takes out its due entries and raises them all in
+///     (deadline, token) order before it unlocks. Raising under the shard
+///     lock is what makes cancel() final: once cancel(token) has returned,
+///     the wheel never raises that token's signal, so a late raise cannot
+///     abort the caller's next attempt on the same signal. arm() and
+///     cancel() take one lock each, so they cannot deadlock with the scan.
+///
+/// A deadline is never raised before `when`: a scan raises only entries due
+/// at the clock reading it started with.
 class TimerWheel {
  public:
   using Clock = std::chrono::steady_clock;
@@ -84,10 +111,10 @@ class TimerWheel {
 
   ~TimerWheel() {
     {
-      std::lock_guard<std::mutex> lk(mu_);
+      std::lock_guard<std::mutex> lk(wake_mu_);
       stop_ = true;
     }
-    cv_.notify_one();
+    wake_cv_.notify_one();
     thread_.join();
   }
 
@@ -96,70 +123,186 @@ class TimerWheel {
 
   /// Raise `signal` at (or as soon as possible after) `when`.
   Token arm(AbortSignal& signal, Clock::time_point when) {
-    bool new_earliest;
+    const std::uint32_t index = thread_shard();
+    Shard& shard = *shards_[index];
+    // Clamped below kNever, so a shard's front is kNever iff it is empty.
+    const Rep at = std::min(when.time_since_epoch().count(), kNever - 1);
     Token token;
     {
-      std::lock_guard<std::mutex> lk(mu_);
-      token = next_token_++;
-      const auto it = by_deadline_.emplace(when, Entry{&signal, token});
-      by_token_.emplace(token, it);
-      new_earliest = (it == by_deadline_.begin());
+      std::lock_guard<std::mutex> lk(shard.mu);
+      token = (shard.next_seq++ << kShardBits) | index;
+      shard.entries.push_back(Entry{at, token, &signal});
+      if (at < shard.front.load(std::memory_order_relaxed)) {  // AML_RELAXED(front is written only under shard.mu, held here)
+        shard.front.store(at, std::memory_order_seq_cst);
+      }
     }
-    // Only a new front deadline changes the wheel's wakeup time; notifying
-    // unconditionally woke (and re-sorted) the wheel on every arm.
-    if (new_earliest) cv_.notify_one();
+    // Dekker with run(): front store above, sleep_until_ load here.
+    if (at < sleep_until_->load(std::memory_order_seq_cst)) wake();
     return token;
   }
 
-  /// Best-effort cancel: if the deadline already fired, the signal stays
-  /// raised (callers reset() their signals between uses anyway).
+  /// Disarm `token`. Once this returns, the wheel never raises the token's
+  /// signal; if the deadline already fired, the signal stays raised
+  /// (callers reset() their signals between uses).
   void cancel(Token token) {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = by_token_.find(token);
-    if (it == by_token_.end()) return;  // fired or cancelled already
-    by_deadline_.erase(it->second);
-    by_token_.erase(it);
-    // No notify: removing the front at worst gives the wheel one spurious
-    // wakeup at the stale time, after which it re-arms on the new front.
+    Shard& shard = *shards_[token & (kShards - 1)];
+    std::lock_guard<std::mutex> lk(shard.mu);
+    auto& entries = shard.entries;
+    for (std::size_t i = entries.size(); i-- > 0;) {
+      if (entries[i].token != token) continue;
+      const Rep at = entries[i].when;
+      entries[i] = entries.back();
+      entries.pop_back();
+      if (at == shard.front.load(std::memory_order_relaxed)) refront(shard);  // AML_RELAXED(front is written only under shard.mu, held here)
+      return;
+    }
+    // Not found: fired or cancelled already.
+  }
+
+  /// Disarm every pending deadline of `signal` (recovery treats a dead
+  /// session's deadlines as cancelled); returns how many were removed. The
+  /// same guarantee as cancel() holds for each.
+  std::size_t cancel_all(const AbortSignal& signal) {
+    std::size_t removed = 0;
+    for (auto& padded : shards_) {
+      Shard& shard = *padded;
+      // An arm that happened before this call left the front below kNever
+      // until its entry goes, so an empty-looking shard needs no lock.
+      if (shard.front.load(std::memory_order_relaxed) == kNever) continue;  // AML_RELAXED(coherence: an arm that happens-before this call is seen)
+      std::lock_guard<std::mutex> lk(shard.mu);
+      const std::size_t n = std::erase_if(
+          shard.entries, [&](const Entry& e) { return e.signal == &signal; });
+      if (n > 0) refront(shard);
+      removed += n;
+    }
+    return removed;
   }
 
   std::size_t pending() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return by_token_.size();
+    std::size_t total = 0;
+    for (const auto& padded : shards_) {
+      std::lock_guard<std::mutex> lk(padded->mu);
+      total += padded->entries.size();
+    }
+    return total;
   }
 
  private:
-  struct Entry {
-    AbortSignal* signal;
-    Token token;
-  };
-  using DeadlineMap = std::multimap<Clock::time_point, Entry>;
+  using Rep = Clock::rep;
+  static constexpr std::uint32_t kShardBits = 6;
+  static constexpr std::uint32_t kShards = 1u << kShardBits;
+  /// Front of an empty shard, and sleep_until_ while the wheel is parked.
+  static constexpr Rep kNever = std::numeric_limits<Rep>::max();
+  /// sleep_until_ while the wheel scans: no deadline is earlier, so arm()
+  /// never wakes a wheel that will recheck the fronts anyway.
+  static constexpr Rep kScanning = std::numeric_limits<Rep>::min();
 
-  void run() {
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_) {
-      if (by_deadline_.empty()) {
-        cv_.wait(lk, [&] { return stop_ || !by_deadline_.empty(); });
-        continue;
-      }
-      const auto front = by_deadline_.begin();
-      const auto when = front->first;
-      if (Clock::now() >= when) {
-        front->second.signal->raise();
-        by_token_.erase(front->second.token);
-        by_deadline_.erase(front);
-        continue;
-      }
-      cv_.wait_until(lk, when);
+  struct Entry {
+    Rep when;
+    Token token;  ///< (per-shard sequence << kShardBits) | shard index
+    AbortSignal* signal;
+  };
+
+  struct Shard {
+    mutable std::mutex mu;
+    pal::LineVector<Entry> entries;  ///< unordered; guarded by mu
+    Token next_seq = 1;              ///< guarded by mu
+    /// Earliest deadline in `entries` (kNever when empty). Written only
+    /// under mu; read by the wheel without it.
+    std::atomic<Rep> front{kNever};
+  };
+
+  /// The calling thread's shard, assigned round-robin on first use.
+  static std::uint32_t thread_shard() {
+    thread_local const std::uint32_t index =
+        next_shard_.fetch_add(1, std::memory_order_relaxed) % kShards;  // AML_RELAXED(spreads threads over shards; any value is correct)
+    return index;
+  }
+
+  /// Recompute `shard.front` after entries left it (caller holds mu). A
+  /// removal never lowers the front, and a stale lower front only makes the
+  /// wheel look early, so this store needs no order; only arm()'s lowering
+  /// store is half of the Dekker.
+  static void refront(Shard& shard) {
+    Rep front = kNever;
+    for (const Entry& e : shard.entries) front = std::min(front, e.when);
+    shard.front.store(front, std::memory_order_relaxed);  // AML_RELAXED(raises the front only; see the comment above)
+  }
+
+  Rep earliest_front() const {
+    Rep earliest = kNever;
+    for (const auto& padded : shards_) {
+      earliest =
+          std::min(earliest, padded->front.load(std::memory_order_seq_cst));
+    }
+    return earliest;
+  }
+
+  void wake() {
+    {
+      std::lock_guard<std::mutex> lk(wake_mu_);
+      woken_ = true;
+    }
+    wake_cv_.notify_one();
+  }
+
+  /// Lock every shard with a due front (in index order), raise its due
+  /// entries in (deadline, token) order, then unlock.
+  void raise_due(Rep now) {
+    std::uint64_t held = 0;
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      Shard& shard = *shards_[s];
+      if (shard.front.load(std::memory_order_seq_cst) > now) continue;
+      shard.mu.lock();
+      held |= std::uint64_t{1} << s;
+      const auto due = [now](const Entry& e) { return e.when <= now; };
+      std::copy_if(shard.entries.begin(), shard.entries.end(),
+                   std::back_inserter(due_), due);
+      std::erase_if(shard.entries, due);
+      refront(shard);
+    }
+    std::sort(due_.begin(), due_.end(), [](const Entry& a, const Entry& b) {
+      return a.when != b.when ? a.when < b.when : a.token < b.token;
+    });
+    for (const Entry& e : due_) e.signal->raise();
+    due_.clear();
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      if ((held >> s) & 1u) shards_[s]->mu.unlock();
     }
   }
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  DeadlineMap by_deadline_;                      ///< fire order
-  std::map<Token, DeadlineMap::iterator> by_token_;  ///< cancel index
-  Token next_token_ = 1;
-  bool stop_ = false;
+  void run() {
+    for (;;) {
+      sleep_until_->store(kScanning, std::memory_order_seq_cst);
+      raise_due(Clock::now().time_since_epoch().count());
+      const Rep next = earliest_front();
+      // Dekker with arm(): publish the sleep, then recheck every front. An
+      // arm() that lowered a front after the first read either shows here
+      // or loads this sleep_until_ and wakes the wheel.
+      sleep_until_->store(next, std::memory_order_seq_cst);
+      if (earliest_front() < next) continue;
+      std::unique_lock<std::mutex> lk(wake_mu_);
+      const auto woken = [this] { return woken_ || stop_; };
+      if (next == kNever) {
+        wake_cv_.wait(lk, woken);
+      } else {
+        wake_cv_.wait_until(lk, Clock::time_point(Clock::duration(next)),
+                            woken);
+      }
+      if (stop_) return;
+      woken_ = false;
+    }
+  }
+
+  inline static std::atomic<std::uint32_t> next_shard_{0};
+  std::array<pal::CachePadded<Shard>, kShards> shards_;
+  /// kScanning, the wheel's wakeup deadline, or kNever; read by every arm().
+  pal::CachePadded<std::atomic<Rep>> sleep_until_{kScanning};
+  std::mutex wake_mu_;
+  std::condition_variable wake_cv_;
+  bool woken_ = false;  ///< guarded by wake_mu_
+  bool stop_ = false;   ///< guarded by wake_mu_
+  std::vector<Entry> due_;  ///< wheel thread only; keeps its capacity
   // Declared LAST: members initialize in declaration order, and the wheel
   // thread must only start once every field above is constructed.
   std::thread thread_;

@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -408,10 +407,7 @@ class ShmNamedLockTable {
   /// dead-session deadline-cancellation test pairs this with
   /// registry().debug_set_os_pid + recover_dead).
   TimerWheel::Token debug_arm(Pid id, Clock::time_point when) {
-    const TimerWheel::Token token = wheel_.arm(*signals_[id], when);
-    std::lock_guard<std::mutex> lk(armed_mu_);
-    armed_[id].push_back(token);
-    return token;
+    return wheel_.arm(*signals_[id], when);
   }
 
   /// A session: a registry pid lease bound to this process. Move-only.
@@ -544,8 +540,7 @@ class ShmNamedLockTable {
         registry_(*arena_, cfg.nprocs),
         shm_metrics_(*arena_, cfg.nprocs, cfg.stripes, cfg.ring_capacity),
         signals_(cfg.nprocs),
-        armed_(cfg.nprocs),
-        guard_depth_(new std::atomic<std::uint32_t>[cfg.nprocs]()) {
+        guard_depth_(cfg.nprocs) {
     stripes_.reserve(cfg.stripes);
     for (std::uint32_t s = 0; s < cfg.stripes; ++s) {
       stripes_.push_back(std::make_unique<Stripe>(
@@ -618,16 +613,21 @@ class ShmNamedLockTable {
   // is refreshed whenever it provably holds no lock — last guard released,
   // or an acquisition failed while no guard was held. The depth counter is
   // process-local (sessions live in one process), so this costs no RMR.
+  // The owner is the depth's only writer, so a load plus a store replaces
+  // each read-modify-write.
   void guard_acquired(Pid id) {
-    guard_depth_[id].fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(per-id guard depth; single owner)
+    std::atomic<std::uint32_t>& depth = *guard_depth_[id];
+    const std::uint32_t held = depth.load(std::memory_order_relaxed) + 1;  // AML_RELAXED(per-id guard depth; single owner)
+    depth.store(held, std::memory_order_relaxed);  // AML_RELAXED(per-id guard depth; single owner)
   }
   void guard_released(Pid id) {
-    if (guard_depth_[id].fetch_sub(1, std::memory_order_relaxed) == 1) {  // AML_RELAXED(per-id guard depth; single owner)
-      registry_.note_idle(id);
-    }
+    std::atomic<std::uint32_t>& depth = *guard_depth_[id];
+    const std::uint32_t left = depth.load(std::memory_order_relaxed) - 1;  // AML_RELAXED(per-id guard depth; single owner)
+    depth.store(left, std::memory_order_relaxed);  // AML_RELAXED(per-id guard depth; single owner)
+    if (left == 0) registry_.note_idle(id);
   }
   void note_idle_if_quiet(Pid id) {
-    if (guard_depth_[id].load(std::memory_order_relaxed) == 0) {  // AML_RELAXED(per-id guard depth; single owner)
+    if (guard_depth_[id]->load(std::memory_order_relaxed) == 0) {  // AML_RELAXED(per-id guard depth; single owner)
       registry_.note_idle(id);
     }
   }
@@ -635,25 +635,9 @@ class ShmNamedLockTable {
   bool timed_enter(Pid pid, std::uint32_t s, Clock::time_point when) {
     AbortSignal& signal = *signals_[pid];
     signal.reset();
-    TimerWheel::Token token;
-    {
-      std::lock_guard<std::mutex> lk(armed_mu_);
-      token = wheel_.arm(signal, when);
-      armed_[pid].push_back(token);
-    }
+    const TimerWheel::Token token = wheel_.arm(signal, when);
     const bool ok = stripes_[s]->enter(pid, signal.flag()).acquired;
-    {
-      std::lock_guard<std::mutex> lk(armed_mu_);
-      wheel_.cancel(token);
-      auto& tokens = armed_[pid];
-      for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (tokens[i] == token) {
-          tokens[i] = tokens.back();
-          tokens.pop_back();
-          break;
-        }
-      }
-    }
+    wheel_.cancel(token);
     return ok;
   }
 
@@ -685,13 +669,7 @@ class ShmNamedLockTable {
   /// Disarm every deadline this process armed for a now-dead pid, and reset
   /// the signal so a stale raise cannot leak into the next leaseholder.
   void cancel_deadlines(Pid victim) {
-    std::lock_guard<std::mutex> lk(armed_mu_);
-    auto& tokens = armed_[victim];
-    for (const TimerWheel::Token token : tokens) {
-      wheel_.cancel(token);
-      stats_.cancelled_deadlines++;
-    }
-    tokens.clear();
+    stats_.cancelled_deadlines += wheel_.cancel_all(*signals_[victim]);
     signals_[victim]->reset();
   }
 
@@ -706,10 +684,9 @@ class ShmNamedLockTable {
   /// own flag while other attempts reset theirs.
   std::vector<pal::CachePadded<AbortSignal>> signals_;
   TimerWheel wheel_;
-  std::mutex armed_mu_;  ///< guards armed_ (token tracking for recovery)
-  std::vector<std::vector<TimerWheel::Token>> armed_;
   /// Per-pid count of live guards in this process (see guard_released).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> guard_depth_;
+  /// Padded: each pid's sessions bump their own line on every guard.
+  std::vector<pal::CachePadded<std::atomic<std::uint32_t>>> guard_depth_;
   RecoveryStats stats_;
 };
 

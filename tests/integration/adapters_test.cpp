@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "aml/core/adapters.hpp"
+#include "aml/pal/cache.hpp"
 #include "aml/pal/threading.hpp"
 
 namespace aml {
@@ -89,9 +90,8 @@ TEST(TimerWheelTest, OrdersMultipleDeadlines) {
 }
 
 // Earliest-fires-first under load: many deadlines armed in shuffled order
-// with real spacing must raise strictly in deadline order. (The old wheel
-// found the earliest by scanning the token map — ordering held but each
-// wakeup was O(n); this pins the behavior the deadline index must keep.)
+// with real spacing must raise strictly in deadline order. All of them sit
+// in one shard here (one arming thread); the cross-shard variant is below.
 TEST(TimerWheelTest, EarliestFiresFirstUnderLoad) {
   constexpr int kSignals = 16;
   TimerWheel wheel;
@@ -134,7 +134,8 @@ TEST(TimerWheelTest, EarliestFiresFirstUnderLoad) {
 
 // Interleaved arm/cancel storm from several threads: every cancelled-early
 // entry must stay unraised, every kept deadline must fire, and the wheel
-// must end empty — exercising the deadline map + token index consistency.
+// must end empty — exercising each shard's entries and front across
+// cancels of front and interior entries.
 TEST(TimerWheelTest, InterleavedArmCancelStress) {
   constexpr std::uint32_t kThreads = 4;
   constexpr int kPerThread = 64;
@@ -167,6 +168,188 @@ TEST(TimerWheelTest, InterleavedArmCancelStress) {
     EXPECT_FALSE(cancelled[s].raised()) << "cancelled entry " << s << " fired";
   }
   EXPECT_EQ(wheel.pending(), 0u);
+}
+
+// The cancel guarantee: once cancel(token) has returned, the wheel never
+// raises that token's signal. Each round arms a batch of signals at one
+// shared deadline and cancels them around the moment the wheel raises the
+// batch; a signal read unraised after its cancel must stay unraised. A raise
+// that lands after cancel (the wheel dropping the shard lock before raising)
+// would abort the caller's next attempt on the same signal, and fails here.
+TEST(TimerWheelTest, CancelIsFinalStress) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::size_t kBatch = 64;
+  constexpr int kRounds = 4000;
+  TimerWheel wheel;
+  std::atomic<int> late_raises{0};
+  pal::run_threads(kThreads, [&](std::uint32_t t) {
+    std::vector<pal::CachePadded<AbortSignal>> signals(kBatch);
+    std::vector<TimerWheel::Token> tokens(kBatch);
+    std::vector<bool> unraised(kBatch);
+    std::minstd_rand rng(t + 1);
+    for (int round = 0; round < kRounds; ++round) {
+      const auto when = TimerWheel::Clock::now() + 20us;
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        signals[i]->reset();
+        tokens[i] = wheel.arm(*signals[i], when);
+      }
+      // Cancel somewhere in [when, when + 80 us): the wheel's raise lands
+      // in that span (its wakeup slack included) in most rounds.
+      const auto cancel_at = when + std::chrono::microseconds(rng() % 80);
+      while (TimerWheel::Clock::now() < cancel_at) {
+      }
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        wheel.cancel(tokens[i]);
+        unraised[i] = !signals[i]->raised();
+      }
+      for (int spin = 0; spin < 2000; ++spin) {
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+      }
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        if (unraised[i] && signals[i]->raised()) {
+          late_raises.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  EXPECT_EQ(late_raises.load(), 0);
+  EXPECT_EQ(wheel.pending(), 0u);
+}
+
+// Lost wake-up: an arm that lands while the wheel goes from its last raise
+// to parking idle must still wake it. Two threads take turns: each waits
+// for the other's deadline to fire, spins a random few cycles and arms its
+// own near deadline from its own shard, so the arm falls before, during and
+// after the wheel's publish-then-recheck and its wait. (One thread alone
+// would queue on the shard lock the raising wheel holds, and always land
+// after the publish.) Every 1024th round arms a wheel long parked.
+TEST(TimerWheelTest, WakesFromIdleParkStress) {
+  constexpr int kRounds = 40000;
+  TimerWheel wheel;
+  std::vector<pal::CachePadded<AbortSignal>> signals(2);
+  std::atomic<int> turn{0}, lost_round{-1};
+  pal::run_threads(2, [&](std::uint32_t t) {
+    static constexpr std::uint32_t kSpinRanges[] = {1, 16, 64, 256};
+    AbortSignal& sig = *signals[t];
+    std::minstd_rand rng(5 + t);
+    for (int round = static_cast<int>(t); round < kRounds; round += 2) {
+      while (turn.load(std::memory_order_acquire) != round) {
+        if (lost_round.load(std::memory_order_relaxed) >= 0) return;
+      }
+      if (round % 1024 == 1023) std::this_thread::sleep_for(200us);
+      const std::uint32_t range = kSpinRanges[(round / 2) % 4];
+      for (std::uint32_t spin = rng() % range; spin > 0; --spin) {
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+      }
+      sig.reset();
+      wheel.arm(sig, TimerWheel::Clock::now() +
+                         std::chrono::microseconds(rng() % 4));
+      const auto give_up = TimerWheel::Clock::now() + 2s;
+      while (!sig.raised() && TimerWheel::Clock::now() < give_up) {
+      }
+      if (!sig.raised()) {
+        lost_round.store(round, std::memory_order_relaxed);
+        return;
+      }
+      turn.store(round + 1, std::memory_order_release);
+    }
+  });
+  EXPECT_EQ(lost_round.load(), -1) << "a deadline armed then never fired";
+  EXPECT_EQ(wheel.pending(), 0u);
+}
+
+// EarliestFiresFirstUnderLoad across shards: deadline i = base + i *
+// spacing goes on a line-padded signal armed from its own thread (so from
+// its own shard), and the descending-scan witness checks the fire order.
+// Thread t arms the (kSignals - 1 - t)-th deadline: shards are handed out in
+// the order threads first arm, so shard order mostly runs against deadline
+// order.
+TEST(TimerWheelTest, EarliestFiresFirstAcrossShardsStress) {
+  constexpr std::uint32_t kSignals = 16;
+  const auto spacing = 15ms;
+  TimerWheel wheel;
+  std::vector<pal::CachePadded<AbortSignal>> signals(kSignals);
+  const auto base = TimerWheel::Clock::now() + 300ms;
+  pal::run_threads(kSignals, [&](std::uint32_t t) {
+    const std::uint32_t i = kSignals - 1 - t;
+    wheel.arm(*signals[i], base + i * spacing);
+  });
+  if (TimerWheel::Clock::now() >= base) {
+    GTEST_SKIP() << "host too slow to arm every deadline before the first";
+  }
+  const auto poll_deadline =
+      TimerWheel::Clock::now() + 300ms + kSignals * spacing + 3s;
+  for (;;) {
+    int highest = -1;
+    for (int i = kSignals - 1; i >= 0; --i) {
+      const bool raised = signals[i]->raised();
+      if (raised && highest < 0) highest = i;
+      if (!raised && i < highest) {
+        FAIL() << "deadline " << highest << " fired before deadline " << i;
+      }
+    }
+    if (highest == static_cast<int>(kSignals) - 1) break;
+    ASSERT_LT(TimerWheel::Clock::now(), poll_deadline)
+        << "a deadline never fired";
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(wheel.pending(), 0u);
+}
+
+// Never early: whoever sees a signal raised reads the clock at or past its
+// deadline.
+TEST(TimerWheelTest, NeverRaisesBeforeDeadlineStress) {
+  constexpr std::uint32_t kThreads = 3;
+  constexpr int kRounds = 1500;
+  TimerWheel wheel;
+  std::vector<pal::CachePadded<AbortSignal>> signals(kThreads);
+  std::atomic<int> early{0}, lost{0};
+  pal::run_threads(kThreads, [&](std::uint32_t t) {
+    AbortSignal& sig = *signals[t];
+    std::minstd_rand rng(t + 7);
+    for (int i = 0; i < kRounds; ++i) {
+      sig.reset();
+      const auto when =
+          TimerWheel::Clock::now() + std::chrono::microseconds(rng() % 60);
+      wheel.arm(sig, when);
+      const auto give_up = when + 2s;
+      while (!sig.raised()) {
+        if (TimerWheel::Clock::now() > give_up) break;
+      }
+      const auto seen = TimerWheel::Clock::now();
+      if (!sig.raised()) {
+        lost.fetch_add(1, std::memory_order_relaxed);
+      } else if (seen < when) {
+        early.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(early.load(), 0);
+  EXPECT_EQ(lost.load(), 0);
+  EXPECT_EQ(wheel.pending(), 0u);
+}
+
+// cancel_all removes every entry of its signal, on every shard, and no
+// other: the other signal's entries stay pending and still fire.
+TEST(TimerWheelTest, CancelAllRemovesOnlyThatSignalStress) {
+  constexpr std::uint32_t kThreads = 3;
+  constexpr int kPerThread = 5;
+  TimerWheel wheel;
+  AbortSignal victim, other;
+  pal::run_threads(kThreads, [&](std::uint32_t t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      wheel.arm(victim, TimerWheel::Clock::now() + 1h + i * 1ms);
+      wheel.arm(other, TimerWheel::Clock::now() + 1h + t * 1ms);
+    }
+  });
+  wheel.arm(other, TimerWheel::Clock::now() + 20ms);
+  ASSERT_EQ(wheel.pending(), 2u * kThreads * kPerThread + 1);
+  EXPECT_EQ(wheel.cancel_all(victim), std::size_t{kThreads * kPerThread});
+  EXPECT_EQ(wheel.pending(), std::size_t{kThreads * kPerThread + 1});
+  EXPECT_EQ(wheel.cancel_all(victim), 0u);
+  EXPECT_TRUE(eventually(other));
+  EXPECT_FALSE(victim.raised());
+  EXPECT_EQ(wheel.pending(), std::size_t{kThreads * kPerThread});
 }
 
 TEST(TimedLockTest, SucceedsWhenFree) {
